@@ -15,9 +15,9 @@ from .data import (DatasetManifest, ImageRecord, SyntheticConfig, center_of_mass
                    rescale_intensity, write_manifest, write_tensor)
 from .metrics import MetricsReport, evaluate_pairs, icc, mae, mse, williams_test
 from .optim import AdadeltaState, adadelta_step
-from .regressor import (ArchitectureConfig, HydraConfig, RegressorModel,
-                        build_base_regressor, hydra_forward, hydra_loss,
-                        hydra_loss_replicated, load_model, predict, save_model)
+from .regressor import (ArchitectureConfig, RegressorModel, build_base_regressor,
+                        hydra_forward, hydra_loss, hydra_loss_replicated, load_model,
+                        predict, save_model)
 from .trainer import (LearningCurvePoint, TrainConfig, TrainHistory, TrainingDiverged,
                       infer, learning_curve_experiment, stratified_subsample, train)
 

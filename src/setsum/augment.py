@@ -49,17 +49,11 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SetSamplerConfig:
-    """How epoch sets are drawn.
-
-    ``with_replacement=True`` draws each set's members uniformly from the
-    whole pool instead of partitioning a permutation; it is exposed for
-    experimentation only and makes no claims.
-    """
+    """How epoch sets are drawn: ``n`` slots per set, each real slot black
+    with probability ``p``."""
 
     n: int = 4
     p: float = 0.1
-    seed: int = 0
-    with_replacement: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -99,11 +93,8 @@ def make_epoch_sets(labels: Sequence[float], config: SetSamplerConfig,
     if m < 1:
         raise ValueError("make_epoch_sets needs a non-empty pool")
     n, p = config.n, config.p
-    if config.with_replacement:
-        groups = [rng.integers(0, m, size=n).tolist() for _ in range(-(-m // n))]
-    else:
-        perm = rng.permutation(m)
-        groups = [list(perm[i:i + n]) for i in range(0, m, n)]
+    perm = rng.permutation(m)
+    groups = [list(perm[i:i + n]) for i in range(0, m, n)]
     sets = []
     for group in groups:
         slots: list[Optional[int]] = list(group) + [BLACK] * (n - len(group))
@@ -129,7 +120,6 @@ class AugmentationConfig:
     flip_axes: tuple[int, ...] = ()
     rotation_range_radians: float = 0.2
     translation_range_voxels: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.rotation_range_radians < 0:

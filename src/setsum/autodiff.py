@@ -3,8 +3,10 @@
 Operations build an implicit computation graph: every result remembers its
 parent tensors, the kind of operation that produced it, and a closure that
 pushes gradients back to those parents.  :func:`backpropagate` replays the
-closures in reverse topological order and returns the gradients of all named
-parameters reachable from the loss.
+closures in reverse topological order, handing each one its node's gradient,
+and returns the gradients of all named parameters reachable from the loss.
+A closure never refers to its own node, so a finished graph holds no
+reference cycle and is freed as soon as the last reference to it is dropped.
 
 Only the primitives the count/volume regressor needs are implemented: 2D/3D
 cross-correlation, ReLU, channel concatenation, global average pooling, fully
@@ -85,11 +87,11 @@ class Tensor:
         _check_same_shape("add", self, other)
         out = _result(self.data + other.data, "add", (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self.grad += out.grad
+                    self.grad += g
                 if other.requires_grad:
-                    other.grad += out.grad
+                    other.grad += g
             out._backward = _bw
         return out
 
@@ -108,11 +110,11 @@ class Tensor:
         _check_same_shape("sub", self, other)
         out = _result(self.data - other.data, "sub", (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self.grad += out.grad
+                    self.grad += g
                 if other.requires_grad:
-                    other.grad -= out.grad
+                    other.grad -= g
             out._backward = _bw
         return out
 
@@ -128,11 +130,11 @@ class Tensor:
         _check_same_shape("mul", self, other)
         out = _result(self.data * other.data, "mul", (self, other))
         if out.requires_grad:
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self.grad += other.data * out.grad
+                    self.grad += other.data * g
                 if other.requires_grad:
-                    other.grad += self.data * out.grad
+                    other.grad += self.data * g
             out._backward = _bw
         return out
 
@@ -160,8 +162,8 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...]) -> Tensor:
 
 def _elementwise_backward(out: Tensor, x: Tensor, pull) -> None:
     if out.requires_grad:
-        def _bw():
-            x.grad += pull(out.grad)
+        def _bw(g):
+            x.grad += pull(g)
         out._backward = _bw
 
 
@@ -176,17 +178,15 @@ def _check_same_shape(op: str, a: Tensor, b) -> None:
 # network primitives
 # ---------------------------------------------------------------------------
 
-def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1,
-         padding: int = 0, dims: int | None = None) -> Tensor:
-    """Cross-correlate ``x`` (channels, *spatial) with ``kernel``.
+def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+         padding: int = 0) -> Tensor:
+    """Cross-correlate ``x`` (channels, *spatial) with ``kernel`` at stride 1.
 
     ``kernel`` has layout (out_channels, in_channels, *spatial); output
-    extents follow floor((in + 2*padding - k) / stride) + 1 per spatial
-    dimension.  ``bias`` (out_channels,) is added per output channel.
+    extents are in + 2*padding - k + 1 per spatial dimension.  ``bias``
+    (out_channels,) is added per output channel.
     """
     d = kernel.ndim - 2
-    if dims is not None and dims != d:
-        raise ValueError(f"conv: dims={dims} but kernel has {d} spatial dimensions")
     if d not in (2, 3):
         raise ValueError(f"conv: kernel must have 2 or 3 spatial dimensions, got {d}")
     if x.ndim != d + 1:
@@ -195,8 +195,6 @@ def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1,
     if kernel.shape[1] != x.shape[0]:
         raise ValueError(f"conv: input has {x.shape[0]} channels but kernel expects "
                          f"{kernel.shape[1]} (kernel axis 1)")
-    if stride < 1:
-        raise ValueError(f"conv: stride must be positive, got {stride}")
     if padding < 0:
         raise ValueError(f"conv: padding must be non-negative, got {padding}")
     kext = kernel.shape[2:]
@@ -216,8 +214,6 @@ def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1,
     else:
         xp = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, kext, axis=tuple(range(1, d + 1)))
-    if stride > 1:
-        win = win[(slice(None),) + (slice(None, None, stride),) * d]
     out_ext = win.shape[1:d + 1]
     positions = int(np.prod(out_ext))
     # flatten to a GEMM: (in_ch * kernel, positions) columns
@@ -231,14 +227,14 @@ def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1,
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = _result(out_data, "conv", parents)
     if out.requires_grad:
-        def _bw():
-            g_mat = out.grad.reshape(c_out, -1)
+        def _bw(g):
+            g_mat = g.reshape(c_out, -1)
             if kernel.requires_grad:
                 kernel.grad += (g_mat @ col.T).reshape(kernel.shape)
             if bias is not None and bias.requires_grad:
                 bias.grad += g_mat.sum(axis=1)
             if x.requires_grad:
-                gp = _conv_input_grad(out.grad, kernel.data, xp.shape, kext, stride, d)
+                gp = _conv_input_grad(g, kernel.data, xp.shape, kext, d)
                 if padding:
                     core = tuple(slice(padding, gp.shape[1 + i] - padding) for i in range(d))
                     x.grad += gp[(slice(None),) + core]
@@ -249,33 +245,23 @@ def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1,
 
 
 def _conv_input_grad(g: np.ndarray, kernel: np.ndarray, padded_shape: tuple[int, ...],
-                     kext: tuple[int, ...], stride: int, d: int) -> np.ndarray:
+                     kext: tuple[int, ...], d: int) -> np.ndarray:
     """Gradient w.r.t. the padded input of a cross-correlation.
 
-    At stride 1 this is itself a full correlation of the output gradient with
-    the spatially flipped kernel, done as one GEMM; strided convolutions fall
-    back to scatter-adds over the kernel offsets.
+    This is itself a full correlation of the output gradient with the
+    spatially flipped kernel, done as one GEMM.
     """
     c_out, c_in = kernel.shape[:2]
     out_ext = g.shape[1:]
-    if stride == 1:
-        gpad = np.zeros((c_out,) + tuple(out_ext[i] + 2 * (kext[i] - 1) for i in range(d)))
-        gpad[(slice(None),) + tuple(slice(kext[i] - 1, kext[i] - 1 + out_ext[i])
-                                    for i in range(d))] = g
-        win = np.lib.stride_tricks.sliding_window_view(gpad, kext,
-                                                       axis=tuple(range(1, d + 1)))
-        perm = (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1))
-        col = win.transpose(perm).reshape(c_out * int(np.prod(kext)), -1)
-        flipped = np.flip(kernel, axis=tuple(range(2, 2 + d)))
-        w_mat = flipped.transpose((1, 0) + tuple(range(2, 2 + d))).reshape(c_in, -1)
-        return (w_mat @ col).reshape((c_in,) + padded_shape[1:])
-    gcol = (kernel.reshape(c_out, -1).T @ g.reshape(c_out, -1)).reshape(
-        (c_in,) + kext + out_ext)
-    gp = np.zeros(padded_shape)
-    for kidx in np.ndindex(*kext):
-        sl = tuple(slice(kidx[i], kidx[i] + stride * out_ext[i], stride) for i in range(d))
-        gp[(slice(None),) + sl] += gcol[(slice(None),) + kidx]
-    return gp
+    gpad = np.zeros((c_out,) + tuple(out_ext[i] + 2 * (kext[i] - 1) for i in range(d)))
+    gpad[(slice(None),) + tuple(slice(kext[i] - 1, kext[i] - 1 + out_ext[i])
+                                for i in range(d))] = g
+    win = np.lib.stride_tricks.sliding_window_view(gpad, kext, axis=tuple(range(1, d + 1)))
+    perm = (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1))
+    col = win.transpose(perm).reshape(c_out * int(np.prod(kext)), -1)
+    flipped = np.flip(kernel, axis=tuple(range(2, 2 + d)))
+    w_mat = flipped.transpose((1, 0) + tuple(range(2, 2 + d))).reshape(c_in, -1)
+    return (w_mat @ col).reshape((c_in,) + padded_shape[1:])
 
 
 def relu(x: Tensor) -> Tensor:
@@ -295,11 +281,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = _result(np.concatenate([a.data, b.data], axis=0), "concat", (a, b))
     if out.requires_grad:
         ca = a.shape[0]
-        def _bw():
+        def _bw(g):
             if a.requires_grad:
-                a.grad += out.grad[:ca]
+                a.grad += g[:ca]
             if b.requires_grad:
-                b.grad += out.grad[ca:]
+                b.grad += g[ca:]
         out._backward = _bw
     return out
 
@@ -312,8 +298,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     count = int(np.prod(x.shape[1:]))
     out = _result(x.data.reshape(c, -1).mean(axis=1), "gap", (x,))
     if out.requires_grad:
-        def _bw():
-            x.grad += (out.grad / count).reshape((c,) + (1,) * (x.ndim - 1))
+        def _bw(g):
+            x.grad += (g / count).reshape((c,) + (1,) * (x.ndim - 1))
         out._backward = _bw
     return out
 
@@ -334,8 +320,7 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> T
     parents = (x, weights) if bias is None else (x, weights, bias)
     out = _result(out_data, "fc", parents)
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if weights.requires_grad:
                 weights.grad += np.outer(g, x.data)
             if bias is not None and bias.requires_grad:
@@ -369,13 +354,12 @@ def dropout_apply(x: Tensor, rate: float, training: bool,
 # reverse pass
 # ---------------------------------------------------------------------------
 
-def backpropagate(loss: Tensor, seed: float = 1.0) -> dict[str, np.ndarray]:
+def backpropagate(loss: Tensor) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of a scalar ``loss`` node.
 
     Returns a mapping from parameter name to gradient array for every named
     parameter reachable from the loss.  Repeated uses of a parameter within
-    the graph accumulate their contributions.  ``seed`` is the incoming
-    gradient at the loss node (the chain-rule seed), 1 by default.
+    the graph accumulate their contributions.
     """
     if loss.data.size != 1:
         raise ValueError(f"backpropagate: loss must be scalar, got shape {loss.shape}")
@@ -385,10 +369,10 @@ def backpropagate(loss: Tensor, seed: float = 1.0) -> dict[str, np.ndarray]:
             node.grad = np.zeros_like(node.data)
     if not loss.requires_grad:
         return {}
-    loss.grad = np.full_like(loss.data, float(seed))
+    loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
     return {n.name: n.grad for n in topo if n.name is not None and n.requires_grad}
 
 

@@ -23,8 +23,8 @@ from . import data as data_mod
 from .config import ConfigError, RunConfig, config_text, parse_config_file
 from .metrics import evaluate_pairs
 from .regressor import build_base_regressor, load_model, save_model
-from .trainer import (TrainingDiverged, format_float, infer, learning_curve_experiment,
-                      train, write_aggregate_csv, write_job_csv)
+from .trainer import (TrainingDiverged, _derive_seed, format_float, infer,
+                      learning_curve_experiment, train, write_aggregate_csv, write_job_csv)
 
 __all__ = ["main"]
 
@@ -55,10 +55,6 @@ def _parse_args(argv):
     sub.choices["curve"].add_argument("--jobs", type=int, default=1,
                                       help="parallel worker processes (default 1)")
     return parser.parse_args(argv)
-
-
-def _derive_seed(*key: int) -> int:
-    return int(np.random.SeedSequence(list(key)).generate_state(1, dtype=np.uint64)[0])
 
 
 def _manifest_path(config: RunConfig) -> Path:

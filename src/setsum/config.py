@@ -141,8 +141,6 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
     "train.p": (_float, 0.1),
     "train.loss": (_str, "mse"),
     "train.batch_size": (_optional(_int), None),
-    "train.dropout_rate": (_optional(_float), None),
-    "train.with_replacement": (_bool, False),
     "train.init_model": (_optional(_str), None),
     "curve.sizes": (_int_tuple, (12, 24)),
     "curve.methods": (_str_tuple, ("setsum", "baseline")),
@@ -215,33 +213,23 @@ class RunConfig:
             flip_axes=tuple(axes),
             rotation_range_radians=v["augment.rotation_range"],
             translation_range_voxels=v["augment.translation_range"],
-            seed=v["seed"],
         )
 
-    def train_config(self, method: str | None = None,
-                     epochs: int | None = None) -> TrainConfig:
+    def train_config(self, epochs: int | None = None) -> TrainConfig:
         v = self.values
-        method = v["train.method"] if method is None else method
-        n = v["train.n"]
+        method = v["train.method"]
         batch = v["train.batch_size"]
-        if method == "setsum":
-            if batch is not None and batch != n:
-                raise ConfigError(f"train.batch_size={batch} conflicts with train.n={n}: "
-                                  f"the setsum method ties batch size to branch count")
-            batch = n
-        elif batch is None:
-            batch = 4
+        if batch is None:
+            # _validate has already tied an explicit setsum batch size to train.n
+            batch = v["train.n"] if method == "setsum" else 4
         return TrainConfig(
             epochs=v["train.epochs"] if epochs is None else epochs,
             method=method,
-            n=n,
+            n=v["train.n"],
             p=v["train.p"],
             loss_kind=v["train.loss"],
             batch_size=batch,
-            dropout_rate=v["train.dropout_rate"],
             augmentation=self.augmentation(),
-            with_replacement=v["train.with_replacement"],
-            seed=v["seed"],
         )
 
 

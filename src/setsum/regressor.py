@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "MODEL_MAGIC",
     "ArchitectureConfig",
     "RegressorModel",
-    "HydraConfig",
     "build_base_regressor",
     "predict",
     "hydra_forward",
@@ -111,20 +110,6 @@ class RegressorModel:
             p.data = values[name].copy()
 
 
-@dataclass(frozen=True)
-class HydraConfig:
-    """Branch count and loss for set-level training."""
-
-    n: int = 4
-    loss_kind: str = "mse"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"branch count n must be >= 1, got {self.n}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-
-
 def _layer_plan(arch: ArchitectureConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """Parameter names, shapes, and fan-ins in declaration order.
 
@@ -185,7 +170,6 @@ def build_base_regressor(config: ArchitectureConfig) -> RegressorModel:
 
 def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
              training: bool = False, rng: np.random.Generator | None = None,
-             dropout_rate: Optional[float] = None,
              taps: list[Tensor] | None = None) -> Tensor:
     """Build the forward graph for one image; returns the (1,) output node.
 
@@ -196,7 +180,7 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
     if x.shape != arch.input_shape:
         raise ValueError(f"input shape {x.shape} does not match "
                          f"architecture input {arch.input_shape}")
-    rate = arch.dropout_rate if dropout_rate is None else dropout_rate
+    rate = arch.dropout_rate
     use_dropout = training and rate is not None and rate > 0.0
     block_out: list[Tensor] = []
     for i, (maps, k) in enumerate(arch.conv_blocks, start=1):
@@ -205,7 +189,7 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
             if dst == i:
                 inp = concat_channels(inp, block_out[src - 1])
         pre = conv(inp, params[f"conv{i}.kernel"], params.get(f"conv{i}.bias"),
-                   stride=1, padding=k // 2)
+                   padding=k // 2)
         if taps is not None:
             taps.append(pre)
         x = relu(pre)
@@ -243,8 +227,7 @@ def _loss_node(total: Tensor, label: float, loss_kind: str) -> Tensor:
 
 def hydra_loss(model: RegressorModel, images: Sequence[Optional[np.ndarray]], label: float,
                loss_kind: str = "mse", training: bool = False,
-               rng: np.random.Generator | None = None,
-               dropout_rate: Optional[float] = None) -> Tensor:
+               rng: np.random.Generator | None = None) -> Tensor:
     """Grouped loss node L(sum of slot predictions, label) for one set.
 
     All slots run through the same parameter tensors, so a single
@@ -252,8 +235,7 @@ def hydra_loss(model: RegressorModel, images: Sequence[Optional[np.ndarray]], la
     gradient across every branch.
     """
     arch = model.architecture
-    outputs = [_forward(arch, model.parameters, im, training=training, rng=rng,
-                        dropout_rate=dropout_rate)
+    outputs = [_forward(arch, model.parameters, im, training=training, rng=rng)
                for im in _materialize(model, images)]
     total = outputs[0]
     for out in outputs[1:]:

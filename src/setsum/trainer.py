@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
@@ -79,10 +80,7 @@ class TrainConfig:
     p: float = 0.1
     loss_kind: str = "mse"
     batch_size: int = 4
-    dropout_rate: Optional[float] = None
     augmentation: Optional[AugmentationConfig] = None
-    with_replacement: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -133,7 +131,7 @@ def _setsum_epoch(model, images, labels, sampler, config, state, rng, epoch):
         slots = [None if idx is None else _augmented(images[idx], config.augmentation, rng)
                  for idx in s.slots]
         loss = hydra_loss(model, slots, s.virtual_label, config.loss_kind,
-                          training=True, rng=rng, dropout_rate=config.dropout_rate)
+                          training=True, rng=rng)
         losses.append(_step(model, loss, state, epoch))
     return losses
 
@@ -147,8 +145,7 @@ def _baseline_epoch(model, images, labels, config, state, rng, epoch):
         for idx in batch:
             img = _augmented(images[idx], config.augmentation, rng)
             nodes.append(hydra_loss(model, [img], labels[idx], config.loss_kind,
-                                    training=True, rng=rng,
-                                    dropout_rate=config.dropout_rate))
+                                    training=True, rng=rng))
         total = nodes[0]
         for node in nodes[1:]:
             total = total + node
@@ -169,7 +166,7 @@ def _mixup_epoch(model, images, labels, config, rng, epoch, state):
             xb = _augmented(images[b], config.augmentation, rng)
             x, y = mixup_pair(xa, labels[a], xb, labels[b], lam)
             nodes.append(hydra_loss(model, [x], y, config.loss_kind, training=True,
-                                    rng=rng, dropout_rate=config.dropout_rate))
+                                    rng=rng))
         total = nodes[0]
         for node in nodes[1:]:
             total = total + node
@@ -191,8 +188,7 @@ def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
     history = TrainHistory()
     best_val = math.inf
     best_params = model.copy_parameter_data()
-    sampler = SetSamplerConfig(n=config.n, p=config.p, seed=config.seed,
-                               with_replacement=config.with_replacement)
+    sampler = SetSamplerConfig(n=config.n, p=config.p)
     for epoch in range(config.epochs):
         if config.method == "setsum":
             losses = _setsum_epoch(model, train_imgs, train_labels, sampler, config,
@@ -335,9 +331,14 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
     For each size one stratified subsample is drawn from the training pool
     and shared by all methods and seeds of that size (seeds vary the weight
     initialization and the training-time randomness, as in repeated runs on
-    a fixed split).  Jobs may run in parallel; results are identical and in
-    identical order regardless of ``jobs``.
+    a fixed split).  Jobs may run in parallel, on at most ``jobs`` workers
+    and never more workers than jobs or CPUs; results are identical and in
+    identical order regardless of ``jobs``.  Repeated sizes or methods are
+    rejected: each (size, method) cell must own its seeds.
     """
+    for name, values in (("sizes", sizes), ("methods", methods)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"learning-curve {name} must not repeat, got {list(values)}")
     pool = manifest.split_records("train")
     pool_labels = [manifest.label_of(r) for r in pool]
     for size in sizes:
@@ -362,8 +363,9 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
                     config=cfg, size=size, method=method, rep=rep,
                     model_seed=_derive_seed(master_seed, 7, size, mi, rep),
                     rng_key=(master_seed, 8, size, mi, rep)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs,
+    workers = min(jobs, len(job_list), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn")) as pool_exec:
             results = list(pool_exec.map(_run_curve_job, job_list))
     else:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The learning-curve
-criterion (7) trains 20+ networks and dominates the runtime.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 7, the
+learning-curve claim, has no test yet; the full-network finite-difference
+check (criterion 1) takes most of the suite's runtime.
 """
 
 import hashlib

@@ -124,13 +124,6 @@ class TestMakeEpochSets:
             (idx,) = s.slots
             assert s.virtual_label == labels[idx]
 
-    def test_with_replacement_flag(self):
-        labels = [1.0] * 10
-        sets = make_epoch_sets(labels, SetSamplerConfig(n=4, p=0.0, with_replacement=True),
-                               np.random.default_rng(6))
-        assert len(sets) == 3
-        assert all(len(s.slots) == 4 for s in sets)
-
 
 class TestGeometricAugment:
     def test_degenerate_config_is_identity(self):

@@ -24,21 +24,21 @@ class TestConv:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
-        got = conv(Tensor(x), Tensor(k), stride=1, padding=1).data
-        npt.assert_allclose(got, conv_loop(x, k, stride=1, padding=1), atol=1e-12)
+        got = conv(Tensor(x), Tensor(k), padding=1).data
+        npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
-    def test_matches_loop_oracle_3d_strided_bias(self):
+    def test_matches_loop_oracle_3d_bias(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 6, 5, 7))
         k = rng.normal(size=(4, 2, 3, 3, 3))
         b = rng.normal(size=4)
-        got = conv(Tensor(x), Tensor(k), Tensor(b), stride=2, padding=1).data
-        npt.assert_allclose(got, conv_loop(x, k, b, stride=2, padding=1), atol=1e-12)
+        got = conv(Tensor(x), Tensor(k), Tensor(b), padding=1).data
+        npt.assert_allclose(got, conv_loop(x, k, b, padding=1), atol=1e-12)
 
     def test_output_extent_formula(self):
         x = Tensor(np.zeros((1, 11, 9)))
-        k = Tensor(np.zeros((1, 1, 3, 3)))
-        assert conv(x, k, stride=2, padding=1).shape == (1, 6, 5)
+        k = Tensor(np.zeros((1, 1, 3, 5)))
+        assert conv(x, k, padding=2).shape == (1, 13, 9)
 
     def test_channel_mismatch_names_dimension(self):
         with pytest.raises(ValueError, match="kernel axis 1"):
@@ -47,10 +47,6 @@ class TestConv:
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ValueError, match="spatial dimension 0"):
             conv(Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 1, 5, 3))))
-
-    def test_dims_argument_checked(self):
-        with pytest.raises(ValueError, match="dims=3"):
-            conv(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), dims=3)
 
 
 class TestRelu:
@@ -177,8 +173,8 @@ class TestBackpropagate:
         x = Tensor(rng.normal(size=(2, 6, 6)) + 0.3)
 
         def loss_node():
-            h = relu(conv(x, k1, b1, stride=1, padding=1))
-            h = concat_channels(h, relu(conv(x, k1, b1, stride=1, padding=1)) * 0.5)
+            h = relu(conv(x, k1, b1, padding=1))
+            h = concat_channels(h, relu(conv(x, k1, b1, padding=1)) * 0.5)
             h = concat_channels(h, Tensor(np.zeros((0, 6, 6))))
             out = fully_connected(global_avg_pool(h), w)
             diff = out - 1.5

@@ -86,8 +86,8 @@ class TestParsing:
         assert tc.method == "setsum" and tc.n == 2 and tc.batch_size == 2
         assert tc.augmentation is not None
         assert tc.augmentation.flip_axes == (0, 1)
-        baseline = config.train_config(method="baseline")
-        assert baseline.batch_size == 4
+        baseline = parse_config_file(write_config(tmp_path, "train.method=baseline\n"))
+        assert baseline.train_config().batch_size == 4
 
     def test_augment_disabled(self, tmp_path):
         config = parse_config_file(write_config(tmp_path, "augment.enabled=false\n"))
@@ -215,6 +215,17 @@ class TestCli:
         assert main(["curve", str(cfg)]) == 0
         second = (_digest(out / "curve_jobs.csv"), _digest(out / "curve_aggregate.csv"))
         assert first == second
+
+    @pytest.mark.parametrize("key, repeated", [("curve.sizes=4,6", "curve.sizes=4,4"),
+                                               ("curve.methods=setsum,baseline",
+                                                "curve.methods=setsum,setsum")])
+    def test_curve_repeated_grid_values_exit_2(self, tmp_path, capsys, key, repeated):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace(key, repeated))
+        assert main(["curve", str(cfg)]) == 2
+        assert "must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "curve").exists()
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path)

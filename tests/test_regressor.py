@@ -1,11 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from setsum.autodiff import backpropagate
-from setsum.regressor import (ArchitectureConfig, HydraConfig, build_base_regressor,
-                              hydra_forward, hydra_loss, hydra_loss_replicated,
-                              load_model, predict, save_model)
+from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
+                              hydra_loss, hydra_loss_replicated, load_model, predict,
+                              save_model)
 
 TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
                           skip_connections=((1, 2),), seed=5)
@@ -221,14 +224,20 @@ class TestHydraLoss:
         for name in grads_pair:
             npt.assert_allclose(grads_pair[name], ref[name], atol=1e-10)
 
-
-class TestHydraConfig:
-    def test_validation(self):
-        HydraConfig(n=4, loss_kind="mae")
-        with pytest.raises(ValueError):
-            HydraConfig(n=0)
-        with pytest.raises(ValueError):
-            HydraConfig(loss_kind="huber")
+    def test_finished_graph_freed_without_cycle_collector(self):
+        # a graph that is a reference cycle, with all its im2col columns,
+        # lives until the cycle collector happens to run
+        model = build_base_regressor(TINY)
+        img = np.random.default_rng(10).uniform(size=(1, 8, 8))
+        gc.disable()
+        try:
+            node = hydra_loss(model, [img, None], 1.0, "mse")
+            backpropagate(node)
+            closure, data = weakref.ref(node._backward), weakref.ref(node.data)
+            del node
+            assert closure() is None and data() is None
+        finally:
+            gc.enable()
 
 
 class TestSerialization:

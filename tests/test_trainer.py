@@ -81,6 +81,23 @@ class TestTrain:
             assert np.array_equal(model_a.parameters[name].data,
                                   model_b.parameters[name].data)
 
+    def test_dropout_training_repeatable_and_effective(self, dataset):
+        cfg = TrainConfig(epochs=2, method="setsum", n=4, p=0.1, batch_size=4)
+
+        def run(rate):
+            model = build_base_regressor(replace(TINY_ARCH, dropout_rate=rate))
+            return train(model, dataset, cfg, np.random.default_rng(23))
+
+        model_a, hist_a = run(0.25)
+        model_b, hist_b = run(0.25)
+        _, hist_plain = run(None)
+        assert np.isfinite(hist_a.train_loss).all()
+        assert hist_a == hist_b
+        for name in model_a.parameters:
+            assert np.array_equal(model_a.parameters[name].data,
+                                  model_b.parameters[name].data)
+        assert hist_a.train_loss != hist_plain.train_loss
+
     def test_methods_produce_different_runs(self, dataset):
         cfg_set = TrainConfig(epochs=3, method="setsum", n=4, p=0.1, batch_size=4)
         cfg_mix = TrainConfig(epochs=3, method="mixup", n=4, batch_size=4)
@@ -223,6 +240,45 @@ class TestLearningCurve:
         with pytest.raises(ValueError, match="exceeds training pool"):
             learning_curve_experiment(dataset, [13], ["baseline"], 1,
                                       arch=TINY_ARCH, config=cfg, master_seed=0)
+
+    @pytest.mark.parametrize("sizes, methods", [([4, 4], ["setsum"]),
+                                                ([4], ["setsum", "setsum"])])
+    def test_repeated_sizes_or_methods_rejected(self, dataset, sizes, methods):
+        cfg = TrainConfig(epochs=1, method="setsum", n=2, batch_size=2)
+        with pytest.raises(ValueError, match="must not repeat"):
+            learning_curve_experiment(dataset, sizes, methods, 2,
+                                      arch=TINY_ARCH, config=cfg, master_seed=0)
+
+    @pytest.mark.parametrize("jobs, seeds, cpus, workers", [
+        (8, 5, 3, 3),      # capped by CPUs
+        (8, 4, 16, 4),     # capped by the job count
+        (2, 5, 16, 2),     # as requested
+        (8, 5, 1, None),   # one CPU: serial, no pool
+    ])
+    def test_worker_count_is_capped(self, dataset, monkeypatch, jobs, seeds, cpus, workers):
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(trainer_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: cpus)
+        cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
+        results, _ = learning_curve_experiment(dataset, [4], ["baseline"], seeds,
+                                               arch=TINY_ARCH, config=cfg, master_seed=5,
+                                               jobs=jobs)
+        assert len(results) == seeds
+        assert created == ([] if workers is None else [workers])
 
     def test_parallel_jobs_identical_to_serial(self, dataset):
         cfg = TrainConfig(epochs=2, method="setsum", n=2, batch_size=2)
