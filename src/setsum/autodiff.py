@@ -17,8 +17,6 @@ identical inputs give bit-identical forward and backward results.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 __all__ = [
@@ -77,13 +75,9 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self.op!r}, shape={self.shape}{tag})"
 
-    # -- elementwise arithmetic (same shape, or a python scalar operand) --
+    # -- loss arithmetic: Tensor + Tensor, Tensor - scalar, Tensor * Tensor or scalar --
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
-            out = _result(self.data + float(other), "add", (self,))
-            _elementwise_backward(out, self, lambda g: g)
-            return out
         _check_same_shape("add", self, other)
         out = _result(self.data + other.data, "add", (self, other))
         if out.requires_grad:
@@ -95,31 +89,10 @@ class Tensor:
             out._backward = _bw
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = _result(-self.data, "neg", (self,))
-        _elementwise_backward(out, self, lambda g: -g)
-        return out
-
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
-            out = _result(self.data - float(other), "sub", (self,))
-            _elementwise_backward(out, self, lambda g: g)
-            return out
-        _check_same_shape("sub", self, other)
-        out = _result(self.data - other.data, "sub", (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self.grad += g
-                if other.requires_grad:
-                    other.grad -= g
-            out._backward = _bw
+        out = _result(self.data - float(other), "sub", (self,))
+        _elementwise_backward(out, self, lambda g: g)
         return out
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _Scalar):
@@ -137,8 +110,6 @@ class Tensor:
                     other.grad += self.data * g
             out._backward = _bw
         return out
-
-    __rmul__ = __mul__
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; the subgradient at 0 is 0."""
@@ -169,7 +140,7 @@ def _elementwise_backward(out: Tensor, x: Tensor, pull) -> None:
 
 def _check_same_shape(op: str, a: Tensor, b) -> None:
     if not isinstance(b, Tensor):
-        raise TypeError(f"{op}: expected Tensor or scalar, got {type(b).__name__}")
+        raise TypeError(f"{op}: unsupported operand type {type(b).__name__}")
     if a.shape != b.shape:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
@@ -331,19 +302,20 @@ def fully_connected(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> T
     return out
 
 
-def dropout_apply(x: Tensor, rate: float, training: bool,
+def dropout_apply(x: Tensor, rate: float,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
-    Identity at inference time and at rate 0, so no rescaling is ever needed
-    when evaluating.
+    Training-time only: inference builds no dropout node, and the survivor
+    scaling means no rescaling is ever needed when evaluating.  Identity at
+    rate 0.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout_apply: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise ValueError("dropout_apply: training mode needs a random generator")
+        raise ValueError("dropout_apply: needs a random generator")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = _result(x.data * keep, "dropout", (x,))
     _elementwise_backward(out, x, lambda g: keep * g)

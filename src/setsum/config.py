@@ -48,22 +48,10 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _int(v: str) -> int:
-    return int(v)
-
-
-def _float(v: str) -> float:
-    return float(v)
-
-
 def _bool(v: str) -> bool:
     if v not in ("true", "false"):
         raise ValueError(f"expected true or false, got {v!r}")
     return v == "true"
-
-
-def _str(v: str) -> str:
-    return v
 
 
 def _int_tuple(v: str) -> tuple[int, ...]:
@@ -110,42 +98,41 @@ _MISSING = object()
 
 # key -> (parser, default); _MISSING marks required keys
 _SCHEMA: dict[str, tuple[Callable, object]] = {
-    "seed": (_int, 0),
-    "output_dir": (_str, _MISSING),
+    "seed": (int, 0),
+    "output_dir": (str, _MISSING),
     "data.image_extent": (_int_tuple, _MISSING),
-    "data.dims": (_int, 2),
+    "data.dims": (int, 2),
     "data.blob_count_range": (_int_pair, (0, 8)),
     "data.blob_sigma_range": (_float_pair, (0.6, 0.9)),
     "data.intensity_range": (_float_pair, (0.8, 1.2)),
-    "data.noise_sigma": (_float, 0.05),
-    "data.volume_threshold": (_float, 0.3),
-    "data.num_train": (_int, 30),
-    "data.num_val": (_int, 5),
-    "data.num_test": (_int, 100),
+    "data.noise_sigma": (float, 0.05),
+    "data.volume_threshold": (float, 0.3),
+    "data.num_train": (int, 30),
+    "data.num_val": (int, 5),
+    "data.num_test": (int, 100),
     "data.crop_extent": (_optional(_int_tuple), None),
     "data.rescale": (_bool, True),
-    "data.label_kind": (_str, "count"),
-    "data.manifest": (_optional(_str), None),
+    "data.label_kind": (str, "count"),
+    "data.manifest": (_optional(str), None),
     "arch.conv_blocks": (_pair_list, ((8, 3), (16, 3), (24, 3), (32, 3))),
     "arch.skip_connections": (_pair_list, ((1, 3),)),
-    "arch.dropout_rate": (_optional(_float), None),
+    "arch.dropout_rate": (_optional(float), None),
     "arch.zero_bias": (_bool, True),
-    "arch.seed": (_optional(_int), None),
     "augment.enabled": (_bool, True),
     "augment.flip_axes": (lambda v: v if v == "all" else _int_tuple(v), "all"),
-    "augment.rotation_range": (_float, 0.2),
-    "augment.translation_range": (_int, 2),
-    "train.method": (_str, "setsum"),
-    "train.epochs": (_int, 150),
-    "train.n": (_int, 4),
-    "train.p": (_float, 0.1),
-    "train.loss": (_str, "mse"),
-    "train.batch_size": (_optional(_int), None),
-    "train.init_model": (_optional(_str), None),
+    "augment.rotation_range": (float, 0.2),
+    "augment.translation_range": (int, 2),
+    "train.method": (str, "setsum"),
+    "train.epochs": (int, 150),
+    "train.n": (int, 4),
+    "train.p": (float, 0.1),
+    "train.loss": (str, "mse"),
+    "train.batch_size": (_optional(int), None),
+    "train.init_model": (_optional(str), None),
     "curve.sizes": (_int_tuple, (12, 24)),
     "curve.methods": (_str_tuple, ("setsum", "baseline")),
-    "curve.num_seeds": (_int, 5),
-    "curve.epochs": (_optional(_int), None),
+    "curve.num_seeds": (int, 5),
+    "curve.epochs": (_optional(int), None),
 }
 
 
@@ -199,7 +186,7 @@ class RunConfig:
             dims=v["data.dims"],
             dropout_rate=v["arch.dropout_rate"],
             zero_bias=v["arch.zero_bias"],
-            seed=model_seed if v["arch.seed"] is None else v["arch.seed"],
+            seed=model_seed,
         )
 
     def augmentation(self) -> Optional[AugmentationConfig]:

@@ -194,11 +194,11 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
             taps.append(pre)
         x = relu(pre)
         if use_dropout:
-            x = dropout_apply(x, rate, True, rng)
+            x = dropout_apply(x, rate, rng)
         block_out.append(x)
     pooled = global_avg_pool(x)
     if use_dropout:
-        pooled = dropout_apply(pooled, rate, True, rng)
+        pooled = dropout_apply(pooled, rate, rng)
     return fully_connected(pooled, params["fc.weight"], params.get("fc.bias"))
 
 
@@ -221,7 +221,7 @@ def hydra_forward(model: RegressorModel, images: Sequence[Optional[np.ndarray]])
 def _loss_node(total: Tensor, label: float, loss_kind: str) -> Tensor:
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
-    diff = total - Tensor(np.full(total.shape, float(label)))
+    diff = total - float(label)
     return diff * diff if loss_kind == "mse" else diff.abs()
 
 
@@ -237,10 +237,7 @@ def hydra_loss(model: RegressorModel, images: Sequence[Optional[np.ndarray]], la
     arch = model.architecture
     outputs = [_forward(arch, model.parameters, im, training=training, rng=rng)
                for im in _materialize(model, images)]
-    total = outputs[0]
-    for out in outputs[1:]:
-        total = total + out
-    return _loss_node(total, label, loss_kind)
+    return _loss_node(sum(outputs[1:], outputs[0]), label, loss_kind)
 
 
 def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.ndarray]],
@@ -260,10 +257,7 @@ def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.nd
         branch_params.append({name: parameter(p.data.copy(), f"{name}@{b}")
                               for name, p in model.parameters.items()})
     outputs = [_forward(arch, branch_params[b], im) for b, im in enumerate(slots)]
-    total = outputs[0]
-    for out in outputs[1:]:
-        total = total + out
-    loss = _loss_node(total, label, loss_kind)
+    loss = _loss_node(sum(outputs[1:], outputs[0]), label, loss_kind)
     grads = backpropagate(loss)
     combined = {name: np.zeros_like(p.data) for name, p in model.parameters.items()}
     for b in range(len(slots)):

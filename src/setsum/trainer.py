@@ -1,15 +1,18 @@
-"""Training loops, inference, and the learning-curve experiment harness.
+"""The training loop, inference, and the learning-curve experiment harness.
 
-Three training methods share one loop skeleton and one optimizer cadence:
+All three training methods run through one loop.  A training step is a
+list of sets, each a list of image slots scored against one label; the
+step's loss is the mean of the sets' grouped losses, followed by one
+Adadelta step.  The methods differ only in what a step's sets are:
 
 * ``setsum``: each epoch partitions a fresh permutation of the training
   images into sets of ``n`` (black-padded, black-substituted with
-  probability ``p``), computes one grouped loss per set against the summed
-  label, and takes one Adadelta step per set (ceil(m/n) steps per epoch).
-* ``baseline``: standard per-sample losses averaged over mini-batches of
-  ``batch_size`` (ceil(m/b) steps per epoch; equal cadence when b = n).
-* ``mixup``: per batch, samples are paired with a shuffled partner and
-  linearly combined with lambda ~ uniform(0, 1).
+  probability ``p``); a step is one set against its summed label
+  (ceil(m/n) steps per epoch).
+* ``baseline``: a step is a mini-batch of ``batch_size`` one-image sets
+  (ceil(m/b) steps per epoch; equal cadence when b = n).
+* ``mixup``: as baseline, but each image is linearly combined with a
+  shuffled partner from its batch, with lambda ~ uniform(0, 1).
 
 Every run returns the parameters of the epoch with the lowest validation
 MSE.  All randomness flows through one generator, so a fixed seed gives a
@@ -117,61 +120,38 @@ def _check_finite(value: float, epoch: int, where: str) -> float:
     return value
 
 
-def _step(model: RegressorModel, loss_node, state: AdadeltaState,
-          epoch: int) -> float:
-    value = _check_finite(loss_node.item(), epoch, "training loss")
-    grads = backpropagate(loss_node)
-    adadelta_step(model.parameters, grads, state)
-    return value
+def _mixed(images, labels, a: int, b: int, aug: Optional[AugmentationConfig],
+           rng: np.random.Generator) -> tuple[list[np.ndarray], float]:
+    lam = float(rng.uniform(0.0, 1.0))
+    xa = _augmented(images[a], aug, rng)
+    xb = _augmented(images[b], aug, rng)
+    x, y = mixup_pair(xa, labels[a], xb, labels[b], lam)
+    return [x], y
 
 
-def _setsum_epoch(model, images, labels, sampler, config, state, rng, epoch):
-    losses = []
-    for s in make_epoch_sets(labels, sampler, rng):
-        slots = [None if idx is None else _augmented(images[idx], config.augmentation, rng)
-                 for idx in s.slots]
-        loss = hydra_loss(model, slots, s.virtual_label, config.loss_kind,
-                          training=True, rng=rng)
-        losses.append(_step(model, loss, state, epoch))
-    return losses
+def _epoch_steps(images, labels, config: TrainConfig, rng: np.random.Generator):
+    """Yield one epoch's optimizer steps, each an iterable of ``(slots, label)`` sets.
 
-
-def _baseline_epoch(model, images, labels, config, state, rng, epoch):
-    losses = []
+    A setsum step is one set of ``n`` slots (``None`` is black) scored against
+    its virtual label; a baseline or mixup step is a batch of one-image sets.
+    Sets are built lazily, so each set's augmentation draws come just before
+    the dropout draws of its loss; with dropout on, that order is what keeps
+    baseline and mixup runs bit-identical to per-sample training.
+    """
+    aug = config.augmentation
+    if config.method == "setsum":
+        for s in make_epoch_sets(labels, SetSamplerConfig(n=config.n, p=config.p), rng):
+            slots = [None if i is None else _augmented(images[i], aug, rng) for i in s.slots]
+            yield [(slots, s.virtual_label)]
+        return
     order = rng.permutation(len(images))
     for start in range(0, len(order), config.batch_size):
         batch = order[start:start + config.batch_size]
-        nodes = []
-        for idx in batch:
-            img = _augmented(images[idx], config.augmentation, rng)
-            nodes.append(hydra_loss(model, [img], labels[idx], config.loss_kind,
-                                    training=True, rng=rng))
-        total = nodes[0]
-        for node in nodes[1:]:
-            total = total + node
-        losses.append(_step(model, total * (1.0 / len(batch)), state, epoch))
-    return losses
-
-
-def _mixup_epoch(model, images, labels, config, rng, epoch, state):
-    losses = []
-    order = rng.permutation(len(images))
-    for start in range(0, len(order), config.batch_size):
-        batch = order[start:start + config.batch_size]
-        partners = batch[rng.permutation(len(batch))]
-        nodes = []
-        for a, b in zip(batch, partners):
-            lam = float(rng.uniform(0.0, 1.0))
-            xa = _augmented(images[a], config.augmentation, rng)
-            xb = _augmented(images[b], config.augmentation, rng)
-            x, y = mixup_pair(xa, labels[a], xb, labels[b], lam)
-            nodes.append(hydra_loss(model, [x], y, config.loss_kind, training=True,
-                                    rng=rng))
-        total = nodes[0]
-        for node in nodes[1:]:
-            total = total + node
-        losses.append(_step(model, total * (1.0 / len(batch)), state, epoch))
-    return losses
+        if config.method == "mixup":
+            partners = batch[rng.permutation(len(batch))]
+            yield (_mixed(images, labels, a, b, aug, rng) for a, b in zip(batch, partners))
+        else:
+            yield (([_augmented(images[i], aug, rng)], labels[i]) for i in batch)
 
 
 def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
@@ -188,17 +168,14 @@ def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
     history = TrainHistory()
     best_val = math.inf
     best_params = model.copy_parameter_data()
-    sampler = SetSamplerConfig(n=config.n, p=config.p)
     for epoch in range(config.epochs):
-        if config.method == "setsum":
-            losses = _setsum_epoch(model, train_imgs, train_labels, sampler, config,
-                                   state, rng, epoch)
-        elif config.method == "baseline":
-            losses = _baseline_epoch(model, train_imgs, train_labels, config, state,
-                                     rng, epoch)
-        else:
-            losses = _mixup_epoch(model, train_imgs, train_labels, config, rng, epoch,
-                                  state)
+        losses = []
+        for sets in _epoch_steps(train_imgs, train_labels, config, rng):
+            nodes = [hydra_loss(model, slots, label, config.loss_kind, training=True,
+                                rng=rng) for slots, label in sets]
+            loss = sum(nodes[1:], nodes[0]) * (1.0 / len(nodes))
+            losses.append(_check_finite(loss.item(), epoch, "training loss"))
+            adadelta_step(model.parameters, backpropagate(loss), state)
         history.train_loss.append(float(np.mean(losses)))
         val_pred = np.array([predict(model, im) for im in val_imgs])
         val_mse = _check_finite(float(np.mean((val_pred - val_labels) ** 2)), epoch,
@@ -345,9 +322,6 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
         if size > len(pool):
             raise ValueError(f"learning-curve size {size} exceeds training pool "
                              f"of {len(pool)}")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
     if num_seeds < 1:
         raise ValueError("num_seeds must be positive")
     job_list = []

@@ -122,20 +122,16 @@ class TestFullyConnected:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.ones(10))
-        assert dropout_apply(x, 0.0, True, np.random.default_rng(0)) is x
-
-    def test_inference_identity(self):
-        x = Tensor(np.ones(10))
-        assert dropout_apply(x, 0.9, False) is x
+        assert dropout_apply(x, 0.0, np.random.default_rng(0)) is x
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError, match="rate"):
-            dropout_apply(Tensor(np.ones(3)), 1.0, True, np.random.default_rng(0))
+            dropout_apply(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
 
     def test_inverted_scaling_keeps_mean(self):
         # mean of inverted dropout over N ones is 1 +- 3 sigma of the binomial
         n, rate = 100_000, 0.3
-        out = dropout_apply(Tensor(np.ones(n)), rate, True, np.random.default_rng(6))
+        out = dropout_apply(Tensor(np.ones(n)), rate, np.random.default_rng(6))
         sigma = np.sqrt(rate * (1 - rate) / n) / (1 - rate)
         assert abs(out.data.mean() - 1.0) < 3 * sigma
 

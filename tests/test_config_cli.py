@@ -48,9 +48,10 @@ class TestParsing:
         assert config.values["train.loss"] == "mse"
         assert config.input_shape == (1, 8, 8)
 
-    def test_unknown_key_with_line_number(self):
+    @pytest.mark.parametrize("line", ["data.imag_extent=8,8", "arch.seed=3"])
+    def test_unknown_key_with_line_number(self, line):
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
-            parse_config_text("output_dir=o\ndata.imag_extent=8,8\n")
+            parse_config_text(f"output_dir=o\n{line}\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):

@@ -1,14 +1,17 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from setsum.autodiff import backpropagate
+from setsum.data import SyntheticConfig, generate_dataset, load_split
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
                               hydra_loss, hydra_loss_replicated, load_model, predict,
                               save_model)
+from setsum.trainer import infer
 
 TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
                           skip_connections=((1, 2),), seed=5)
@@ -41,7 +44,6 @@ class TestBuild:
             assert np.array_equal(a.parameters[name].data, b.parameters[name].data)
 
     def test_different_seeds_differ(self):
-        from dataclasses import replace
         a = build_base_regressor(TINY)
         b = build_base_regressor(replace(TINY, seed=6))
         assert not np.array_equal(a.parameters["conv1.kernel"].data,
@@ -52,7 +54,6 @@ class TestBuild:
         assert not any("bias" in name for name in model.parameters)
 
     def test_biases_exist_when_enabled(self):
-        from dataclasses import replace
         model = build_base_regressor(replace(TINY, zero_bias=False))
         assert "conv1.bias" in model.parameters
         assert "fc.bias" in model.parameters
@@ -62,7 +63,6 @@ class TestBuild:
         desk = ArchitectureConfig(input_shape=(1, 16, 16))
         assert build_base_regressor(desk).parameter_count == walk_parameter_count(desk)
         assert build_base_regressor(TINY).parameter_count == walk_parameter_count(TINY)
-        from dataclasses import replace
         with_bias = replace(desk, zero_bias=False)
         assert build_base_regressor(with_bias).parameter_count == walk_parameter_count(with_bias)
 
@@ -114,6 +114,18 @@ class TestPredict:
             predict(model, np.zeros((1, 9, 9)))
 
 
+    def test_dropout_never_acts_at_inference(self, tmp_path):
+        synth = SyntheticConfig(image_extent=(8, 8), blob_count_range=(0, 4),
+                                blob_sigma_range=(0.45, 0.7), noise_sigma=0.02, seed=3)
+        manifest = generate_dataset(tmp_path, synth, 1, 1, 4)
+        plain = build_base_regressor(TINY)
+        dropped = build_base_regressor(replace(TINY, dropout_rate=0.9))
+        images, _ = load_split(manifest, "test")
+        assert [predict(dropped, im) for im in images] == [predict(plain, im)
+                                                            for im in images]
+        assert infer(dropped, manifest, "test") == infer(plain, manifest, "test")
+
+
 class TestHydraForward:
     def test_singleton_equals_predict(self):
         model = build_base_regressor(TINY)
@@ -142,7 +154,6 @@ class TestHydraForward:
     def test_black_padding_identity_with_biases(self):
         # without zero_bias (and nonzero biases) the identity needs the
         # f(black) correction term
-        from dataclasses import replace
         model = build_base_regressor(replace(TINY, zero_bias=False, seed=9))
         rng = np.random.default_rng(6)
         for name, p in model.parameters.items():
@@ -242,7 +253,6 @@ class TestHydraLoss:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        from dataclasses import replace
         for cfg in (TINY, replace(TINY, zero_bias=False, dropout_rate=0.25)):
             model = build_base_regressor(cfg)
             path = tmp_path / "model.ssrm"

@@ -81,8 +81,13 @@ class TestTrain:
             assert np.array_equal(model_a.parameters[name].data,
                                   model_b.parameters[name].data)
 
-    def test_dropout_training_repeatable_and_effective(self, dataset):
-        cfg = TrainConfig(epochs=2, method="setsum", n=4, p=0.1, batch_size=4)
+    @pytest.mark.parametrize("method, batch_size", [("setsum", 4), ("baseline", 3),
+                                                    ("mixup", 3)])
+    def test_dropout_training_repeatable_and_effective(self, dataset, method, batch_size):
+        aug = AugmentationConfig(flip_axes=(0, 1), rotation_range_radians=0.1,
+                                 translation_range_voxels=1)
+        cfg = TrainConfig(epochs=2, method=method, n=4, p=0.1, batch_size=batch_size,
+                          augmentation=aug)
 
         def run(rate):
             model = build_base_regressor(replace(TINY_ARCH, dropout_rate=rate))
@@ -129,6 +134,10 @@ class TestTrain:
         assert len(calls) == 2 * ((m + 3) // 4)
         calls.clear()
         cfg = TrainConfig(epochs=2, method="baseline", n=4, batch_size=5)
+        train(fresh_model(), dataset, cfg, np.random.default_rng(15))
+        assert len(calls) == 2 * ((m + 4) // 5)
+        calls.clear()
+        cfg = TrainConfig(epochs=2, method="mixup", n=4, batch_size=5)
         train(fresh_model(), dataset, cfg, np.random.default_rng(15))
         assert len(calls) == 2 * ((m + 4) // 5)
 
@@ -194,6 +203,28 @@ class TestStratifiedSubsample:
             stratified_subsample([1.0, 2.0], 3, np.random.default_rng(0))
 
 
+def serial_pool(monkeypatch) -> list:
+    """Replace the process pool with one that runs jobs serially; returns the
+    list that records each pool's ``max_workers``."""
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(trainer_mod, "ProcessPoolExecutor", SerialPool)
+    return created
+
+
 class TestLearningCurve:
     def test_single_point_shape(self, dataset):
         cfg = TrainConfig(epochs=2, method="baseline", n=4, batch_size=4)
@@ -249,6 +280,14 @@ class TestLearningCurve:
             learning_curve_experiment(dataset, sizes, methods, 2,
                                       arch=TINY_ARCH, config=cfg, master_seed=0)
 
+    def test_unknown_method_rejected_before_any_job(self, dataset, monkeypatch):
+        created = serial_pool(monkeypatch)
+        cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
+        with pytest.raises(ValueError, match="method"):
+            learning_curve_experiment(dataset, [4], ["magic"], 2, arch=TINY_ARCH,
+                                      config=cfg, master_seed=0, jobs=2)
+        assert created == []
+
     @pytest.mark.parametrize("jobs, seeds, cpus, workers", [
         (8, 5, 3, 3),      # capped by CPUs
         (8, 4, 16, 4),     # capped by the job count
@@ -256,22 +295,7 @@ class TestLearningCurve:
         (8, 5, 1, None),   # one CPU: serial, no pool
     ])
     def test_worker_count_is_capped(self, dataset, monkeypatch, jobs, seeds, cpus, workers):
-        created = []
-
-        class SerialPool:
-            def __init__(self, max_workers, mp_context):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(trainer_mod, "ProcessPoolExecutor", SerialPool)
+        created = serial_pool(monkeypatch)
         monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: cpus)
         cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
         results, _ = learning_curve_experiment(dataset, [4], ["baseline"], seeds,
