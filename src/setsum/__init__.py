@@ -7,8 +7,8 @@ geometric augmentations, a synthetic counting-dataset generator, training
 and learning-curve harnesses, and agreement metrics.
 """
 
-from .augment import (AugmentationConfig, SampleSet, SetSamplerConfig, count_combinations,
-                      make_epoch_sets, mixup_pair, random_geometric_augment, virtual_label)
+from .augment import (AugmentationConfig, SampleSet, count_combinations, make_epoch_sets,
+                      mixup_pair, random_geometric_augment, virtual_label)
 from .autodiff import Tensor, backpropagate
 from .data import (DatasetManifest, ImageRecord, SyntheticConfig, center_of_mass_crop,
                    generate_blob_image, generate_dataset, read_manifest, read_tensor,

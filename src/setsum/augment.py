@@ -23,7 +23,6 @@ from scipy import ndimage
 __all__ = [
     "BLACK",
     "SampleSet",
-    "SetSamplerConfig",
     "AugmentationConfig",
     "make_epoch_sets",
     "virtual_label",
@@ -47,21 +46,6 @@ class SampleSet:
         return tuple(s for s in self.slots if s is not BLACK)
 
 
-@dataclass(frozen=True)
-class SetSamplerConfig:
-    """How epoch sets are drawn: ``n`` slots per set, each real slot black
-    with probability ``p``."""
-
-    n: int = 4
-    p: float = 0.1
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"set size n must be positive, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"black probability p must be in [0, 1], got {self.p}")
-
-
 def virtual_label(labels: Sequence[float]) -> float:
     """Sum of the real slot labels; an empty (all-black) set sums to 0."""
     return float(sum(labels))
@@ -79,20 +63,23 @@ def count_combinations(m: int, n: int) -> int:
     return sum(math.comb(m, i) for i in range(1, n + 1))
 
 
-def make_epoch_sets(labels: Sequence[float], config: SetSamplerConfig,
+def make_epoch_sets(labels: Sequence[float], n: int, p: float,
                     rng: np.random.Generator) -> list[SampleSet]:
     """Build one epoch's virtual samples over a pool of ``len(labels)`` images.
 
-    A random permutation of the pool is split into ceil(m/n) groups of n
+    A random permutation of the pool is split into ceil(m/n) groups of ``n``
     slots, the last group padded with BLACK when n does not divide m.  Each
-    real slot is then independently replaced by BLACK with probability
-    ``config.p`` (one uniform draw per real slot, in slot order), and the
-    virtual label is the sum of the surviving real labels.
+    real slot is then independently replaced by BLACK with probability ``p``
+    (one uniform draw per real slot, in slot order), and the virtual label is
+    the sum of the surviving real labels.
     """
+    if n < 1:
+        raise ValueError(f"set size n must be positive, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"black probability p must be in [0, 1], got {p}")
     m = len(labels)
     if m < 1:
         raise ValueError("make_epoch_sets needs a non-empty pool")
-    n, p = config.n, config.p
     perm = rng.permutation(m)
     groups = [list(perm[i:i + n]) for i in range(0, m, n)]
     sets = []

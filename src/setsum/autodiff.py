@@ -149,13 +149,12 @@ def _check_same_shape(op: str, a: Tensor, b) -> None:
 # network primitives
 # ---------------------------------------------------------------------------
 
-def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-         padding: int = 0) -> Tensor:
+def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     """Cross-correlate ``x`` (channels, *spatial) with ``kernel`` at stride 1.
 
     ``kernel`` has layout (out_channels, in_channels, *spatial); output
-    extents are in + 2*padding - k + 1 per spatial dimension.  ``bias``
-    (out_channels,) is added per output channel.
+    extents are in + 2*padding - k + 1 per spatial dimension.  There is no
+    bias: a zero input gives a zero output.
     """
     d = kernel.ndim - 2
     if d not in (2, 3):
@@ -174,9 +173,6 @@ def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         if kext[i] > padded:
             raise ValueError(f"conv: spatial dimension {i} has padded extent {padded} "
                              f"smaller than kernel extent {kext[i]}")
-    if bias is not None and bias.shape != (kernel.shape[0],):
-        raise ValueError(f"conv: bias shape {bias.shape} does not match "
-                         f"{kernel.shape[0]} output channels")
 
     c_in, c_out = x.shape[0], kernel.shape[0]
     if padding:
@@ -191,19 +187,12 @@ def conv(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     perm = (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1))
     col = win.transpose(perm).reshape(-1, positions)
     w_mat = kernel.data.reshape(c_out, -1)
-    out_data = (w_mat @ col).reshape((c_out,) + out_ext)
-    if bias is not None:
-        out_data += bias.data.reshape((-1,) + (1,) * d)
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _result(out_data, "conv", parents)
+    out = _result((w_mat @ col).reshape((c_out,) + out_ext), "conv", (x, kernel))
     if out.requires_grad:
         def _bw(g):
             g_mat = g.reshape(c_out, -1)
             if kernel.requires_grad:
                 kernel.grad += (g_mat @ col.T).reshape(kernel.shape)
-            if bias is not None and bias.requires_grad:
-                bias.grad += g_mat.sum(axis=1)
             if x.requires_grad:
                 gp = _conv_input_grad(g, kernel.data, xp.shape, kext, d)
                 if padding:
@@ -275,27 +264,18 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return out
 
 
-def fully_connected(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map Wx (+ b if present); ``weights`` has layout (out, in)."""
+def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
+    """Linear map Wx with no bias; ``weights`` has layout (out, in)."""
     if x.ndim != 1:
         raise ValueError(f"fully_connected: input must be a vector, got shape {x.shape}")
     if weights.ndim != 2 or weights.shape[1] != x.shape[0]:
         raise ValueError(f"fully_connected: weights shape {weights.shape} does not accept "
                          f"input of length {x.shape[0]}")
-    if bias is not None and bias.shape != (weights.shape[0],):
-        raise ValueError(f"fully_connected: bias shape {bias.shape} does not match "
-                         f"{weights.shape[0]} outputs")
-    out_data = weights.data @ x.data
-    if bias is not None:
-        out_data = out_data + bias.data
-    parents = (x, weights) if bias is None else (x, weights, bias)
-    out = _result(out_data, "fc", parents)
+    out = _result(weights.data @ x.data, "fc", (x, weights))
     if out.requires_grad:
         def _bw(g):
             if weights.requires_grad:
                 weights.grad += np.outer(g, x.data)
-            if bias is not None and bias.requires_grad:
-                bias.grad += g
             if x.requires_grad:
                 x.grad += weights.data.T @ g
         out._backward = _bw

@@ -117,7 +117,6 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
     "arch.conv_blocks": (_pair_list, ((8, 3), (16, 3), (24, 3), (32, 3))),
     "arch.skip_connections": (_pair_list, ((1, 3),)),
     "arch.dropout_rate": (_optional(float), None),
-    "arch.zero_bias": (_bool, True),
     "augment.enabled": (_bool, True),
     "augment.flip_axes": (lambda v: v if v == "all" else _int_tuple(v), "all"),
     "augment.rotation_range": (float, 0.2),
@@ -185,7 +184,6 @@ class RunConfig:
             skip_connections=v["arch.skip_connections"],
             dims=v["data.dims"],
             dropout_rate=v["arch.dropout_rate"],
-            zero_bias=v["arch.zero_bias"],
             seed=model_seed,
         )
 

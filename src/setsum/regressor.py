@@ -14,9 +14,10 @@ quantity through explicitly copied per-branch parameters whose gradients
 are summed afterwards; it exists as a cross-check for the weight-sharing
 mechanics and is exercised by the test suite.
 
-With ``zero_bias=True`` (the default) the network has no additive terms
-anywhere, so the all-zero "black" image maps to exactly 0 and a set padded
-with black slots predicts exactly what the single real image would.
+The network has no additive terms anywhere (no conv or fc biases), so the
+all-zero "black" image maps to exactly 0, and a black slot adds exactly
+nothing to a set's prediction or to its gradients.  This is what lets a
+black slot stand for "no image" with label 0.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ class ArchitectureConfig:
     from 1; ``skip_connections`` are (source_block, target_block) pairs
     realized by concatenating the source block's output channels onto the
     target block's input.  All convolutions are stride 1 with same padding
-    (kernel_size // 2).  ``zero_bias=True`` omits every bias term so the
-    all-zero image maps to exactly 0.
+    (kernel_size // 2).
     """
 
     input_shape: tuple[int, ...]
@@ -65,7 +65,6 @@ class ArchitectureConfig:
     skip_connections: tuple[tuple[int, int], ...] = ((1, 3),)
     dims: int = 2
     dropout_rate: Optional[float] = None
-    zero_bias: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -139,43 +138,30 @@ def _layer_plan(arch: ArchitectureConfig) -> list[tuple[str, tuple[int, ...], in
         extent = tuple((e + 2 * pad - k) + 1 for e in extent)
         kshape = (maps, in_ch) + (k,) * d
         plan.append((f"conv{i}.kernel", kshape, in_ch * k ** d))
-        if not arch.zero_bias:
-            plan.append((f"conv{i}.bias", (maps,), 0))
         channels = maps
         block_channels.append(maps)
         block_extent.append(extent)
     plan.append(("fc.weight", (1, channels), channels))
-    if not arch.zero_bias:
-        plan.append(("fc.bias", (1,), 0))
     return plan
 
 
 def build_base_regressor(config: ArchitectureConfig) -> RegressorModel:
     """Fresh model with fan-in-scaled uniform initialization from ``config.seed``.
 
-    Weights draw from U(-sqrt(6/fan_in), +sqrt(6/fan_in)); biases (when
-    present) start at zero.  The same config and seed always produce
-    bit-identical parameters.
+    Weights draw from U(-sqrt(6/fan_in), +sqrt(6/fan_in)).  The same config
+    and seed always produce bit-identical parameters.
     """
     rng = np.random.default_rng(config.seed)
     params: dict[str, Tensor] = {}
     for name, shape, fan_in in _layer_plan(config):
-        if name.endswith(".bias"):
-            params[name] = parameter(np.zeros(shape), name)
-        else:
-            bound = math.sqrt(6.0 / fan_in)
-            params[name] = parameter(rng.uniform(-bound, bound, size=shape), name)
+        bound = math.sqrt(6.0 / fan_in)
+        params[name] = parameter(rng.uniform(-bound, bound, size=shape), name)
     return RegressorModel(config, params)
 
 
 def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
-             training: bool = False, rng: np.random.Generator | None = None,
-             taps: list[Tensor] | None = None) -> Tensor:
-    """Build the forward graph for one image; returns the (1,) output node.
-
-    ``taps``, when given, collects the pre-activation conv outputs (used by
-    gradient tests to keep inputs away from the ReLU kinks).
-    """
+             training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """Build the forward graph for one image; returns the (1,) output node."""
     x = image if isinstance(image, Tensor) else Tensor(image)
     if x.shape != arch.input_shape:
         raise ValueError(f"input shape {x.shape} does not match "
@@ -188,18 +174,14 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
         for src, dst in arch.skip_connections:
             if dst == i:
                 inp = concat_channels(inp, block_out[src - 1])
-        pre = conv(inp, params[f"conv{i}.kernel"], params.get(f"conv{i}.bias"),
-                   padding=k // 2)
-        if taps is not None:
-            taps.append(pre)
-        x = relu(pre)
+        x = relu(conv(inp, params[f"conv{i}.kernel"], padding=k // 2))
         if use_dropout:
             x = dropout_apply(x, rate, rng)
         block_out.append(x)
     pooled = global_avg_pool(x)
     if use_dropout:
         pooled = dropout_apply(pooled, rate, rng)
-    return fully_connected(pooled, params["fc.weight"], params.get("fc.bias"))
+    return fully_connected(pooled, params["fc.weight"])
 
 
 def predict(model: RegressorModel, image: np.ndarray) -> float:
@@ -277,7 +259,6 @@ def _config_text(arch: ArchitectureConfig) -> str:
         "skip_connections=" + ",".join(f"{s}:{d}" for s, d in arch.skip_connections),
         f"dims={arch.dims}",
         "dropout_rate=" + ("none" if arch.dropout_rate is None else repr(arch.dropout_rate)),
-        f"zero_bias={'true' if arch.zero_bias else 'false'}",
         f"seed={arch.seed}",
     ]
     return "\n".join(lines) + "\n"
@@ -298,7 +279,6 @@ def _config_from_text(text: str) -> ArchitectureConfig:
             skip_connections=pairs(fields["skip_connections"]),
             dims=int(fields["dims"]),
             dropout_rate=None if fields["dropout_rate"] == "none" else float(fields["dropout_rate"]),
-            zero_bias=fields["zero_bias"] == "true",
             seed=int(fields["seed"]),
         )
     except KeyError as exc:

@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .augment import (AugmentationConfig, SetSamplerConfig, make_epoch_sets, mixup_pair,
-                      random_geometric_augment)
+from .augment import AugmentationConfig, make_epoch_sets, mixup_pair, random_geometric_augment
 from .autodiff import backpropagate
 from .data import DatasetManifest, load_split
 from .metrics import icc as _icc
@@ -74,7 +73,8 @@ class TrainConfig:
     """One training job.
 
     For the ``setsum`` method the batch size is tied to the branch count
-    (b = n): one set of n slots per optimizer step.
+    (b = n): one set of n slots per optimizer step.  ``mixup`` draws each
+    image's partner from its own batch, so it needs a batch of at least 2.
     """
 
     epochs: int
@@ -97,6 +97,9 @@ class TrainConfig:
         if self.method == "setsum" and self.batch_size != self.n:
             raise ValueError(f"setsum ties batch_size to the branch count: "
                              f"batch_size={self.batch_size} but n={self.n}")
+        if self.method == "mixup" and self.batch_size < 2:
+            raise ValueError(f"mixup needs batch_size >= 2 to pair each image with "
+                             f"another, got {self.batch_size}")
 
 
 @dataclass
@@ -140,7 +143,7 @@ def _epoch_steps(images, labels, config: TrainConfig, rng: np.random.Generator):
     """
     aug = config.augmentation
     if config.method == "setsum":
-        for s in make_epoch_sets(labels, SetSamplerConfig(n=config.n, p=config.p), rng):
+        for s in make_epoch_sets(labels, config.n, config.p, rng):
             slots = [None if i is None else _augmented(images[i], aug, rng) for i in s.slots]
             yield [(slots, s.virtual_label)]
         return

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 
-def conv_loop(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
-              stride: int = 1, padding: int = 0) -> np.ndarray:
+def conv_loop(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
+              padding: int = 0) -> np.ndarray:
     """Direct nested-loop cross-correlation, any spatial rank."""
     d = kernel.ndim - 2
     xp = np.pad(x, [(0, 0)] + [(padding, padding)] * d)
@@ -28,19 +28,17 @@ def conv_loop(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None,
                     src = tuple(pos[i] * stride + off[i] for i in range(d))
                     acc += xp[(c,) + src] * kernel[(o, c) + off]
             out[(o,) + pos] = acc
-        if bias is not None:
-            out[o] += bias[o]
     return out
 
 
-def fc_loop(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def fc_loop(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Dot products written out one multiply at a time."""
     out = np.zeros(weights.shape[0])
     for o in range(weights.shape[0]):
         acc = 0.0
         for i in range(weights.shape[1]):
             acc += weights[o, i] * x[i]
-        out[o] = acc + (bias[o] if bias is not None else 0.0)
+        out[o] = acc
     return out
 
 

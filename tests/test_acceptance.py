@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from setsum.augment import count_combinations
-from setsum.autodiff import backpropagate
+from setsum.autodiff import _toposort, backpropagate
 from setsum.cli import main
 from setsum.data import SyntheticConfig, generate_dataset
 from setsum.metrics import icc, williams_test
@@ -46,10 +46,10 @@ def test_criterion_01_gradient_correctness():
     h = 1e-5
 
     def loss_and_signs() -> tuple[float, list]:
-        taps: list = []
-        out = _forward(model.architecture, model.parameters, image, taps=taps)
+        out = _forward(model.architecture, model.parameters, image)
+        pre = [n for n in _toposort(out) if n.op == "conv"]
         diff = out - label
-        return (diff * diff).item(), [t.data > 0.0 for t in taps]
+        return (diff * diff).item(), [t.data > 0.0 for t in pre]
 
     base_loss, base_signs = loss_and_signs()
     analytic = backpropagate(hydra_loss(model, [image], label, "mse"))
@@ -115,8 +115,9 @@ def test_criterion_02_grouped_equals_replicated():
 
 
 def test_criterion_03_black_image_identity():
-    """With zero_bias, the black image predicts exactly 0 and black padding
-    leaves a single image's prediction unchanged within 1e-12."""
+    """The network has no additive terms, so the black image predicts
+    exactly 0 and black padding leaves a single image's prediction unchanged
+    within 1e-12."""
     model = build_base_regressor(replace(DESK, seed=3))
     black = model.black_image()
     assert predict(model, black) == 0.0

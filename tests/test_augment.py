@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsum.augment import (BLACK, AugmentationConfig, SampleSet, SetSamplerConfig,
-                            count_combinations, make_epoch_sets, mixup_pair,
-                            random_geometric_augment, virtual_label)
+from setsum.augment import (BLACK, AugmentationConfig, SampleSet, count_combinations,
+                            make_epoch_sets, mixup_pair, random_geometric_augment,
+                            virtual_label)
 
 
 def enumerate_combinations(m: int, n: int) -> int:
@@ -59,15 +59,13 @@ def pascal_row_sum(m: int, n: int) -> int:
 
 class TestMakeEpochSets:
     def test_even_partition(self):
-        sets = make_epoch_sets([1.0] * 8, SetSamplerConfig(n=4, p=0.0),
-                               np.random.default_rng(0))
+        sets = make_epoch_sets([1.0] * 8, 4, 0.0, np.random.default_rng(0))
         assert len(sets) == 2
         seen = sorted(i for s in sets for i in s.real_indices())
         assert seen == list(range(8))
 
     def test_black_padding_of_last_set(self):
-        sets = make_epoch_sets([1.0] * 5, SetSamplerConfig(n=4, p=0.0),
-                               np.random.default_rng(1))
+        sets = make_epoch_sets([1.0] * 5, 4, 0.0, np.random.default_rng(1))
         assert len(sets) == 2
         assert len(sets[0].real_indices()) == 4
         assert len(sets[1].real_indices()) == 1
@@ -75,8 +73,7 @@ class TestMakeEpochSets:
 
     def test_substitution_rate_binomial(self):
         m, p = 10_000, 0.1
-        sets = make_epoch_sets([1.0] * m, SetSamplerConfig(n=4, p=p),
-                               np.random.default_rng(2))
+        sets = make_epoch_sets([1.0] * m, 4, p, np.random.default_rng(2))
         blacked = m - sum(len(s.real_indices()) for s in sets)
         sigma = math.sqrt(m * p * (1 - p))
         assert abs(blacked - m * p) < 3 * sigma
@@ -84,8 +81,7 @@ class TestMakeEpochSets:
     def test_expected_real_slots_per_set(self):
         # the regularization dial: n*(1-p) real images per set on average
         n, p, m = 4, 0.3, 40_000
-        sets = make_epoch_sets([1.0] * m, SetSamplerConfig(n=n, p=p),
-                               np.random.default_rng(3))
+        sets = make_epoch_sets([1.0] * m, n, p, np.random.default_rng(3))
         mean_real = np.mean([len(s.real_indices()) for s in sets])
         sigma = math.sqrt(n * p * (1 - p) / len(sets))
         assert abs(mean_real - n * (1 - p)) < 3 * sigma
@@ -94,8 +90,7 @@ class TestMakeEpochSets:
     @settings(max_examples=80, deadline=None)
     def test_without_replacement_and_label_conservation(self, m, n, p, seed):
         labels = list(np.random.default_rng(seed + 1).uniform(0, 9, size=m))
-        sets = make_epoch_sets(labels, SetSamplerConfig(n=n, p=p),
-                               np.random.default_rng(seed))
+        sets = make_epoch_sets(labels, n, p, np.random.default_rng(seed))
         assert len(sets) == -(-m // n)
         survivors = [i for s in sets for i in s.real_indices()]
         assert len(survivors) == len(set(survivors))  # no index twice
@@ -109,16 +104,22 @@ class TestMakeEpochSets:
 
     def test_p_zero_is_exact_permutation(self):
         labels = list(range(23))
-        sets = make_epoch_sets(labels, SetSamplerConfig(n=4, p=0.0),
-                               np.random.default_rng(4))
+        sets = make_epoch_sets(labels, 4, 0.0, np.random.default_rng(4))
         survivors = sorted(i for s in sets for i in s.real_indices())
         assert survivors == list(range(23))
         assert sum(s.virtual_label for s in sets) == sum(labels)
 
+    @pytest.mark.parametrize("n, p, message", [(0, 0.1, "set size n"),
+                                               (-1, 0.1, "set size n"),
+                                               (4, -0.1, "black probability p"),
+                                               (4, 1.1, "black probability p")])
+    def test_bad_n_or_p_rejected(self, n, p, message):
+        with pytest.raises(ValueError, match=message):
+            make_epoch_sets([1.0] * 8, n, p, np.random.default_rng(0))
+
     def test_n1_p0_reduces_to_per_sample_training(self):
         labels = [3.0, 1.0, 4.0, 1.0, 5.0]
-        sets = make_epoch_sets(labels, SetSamplerConfig(n=1, p=0.0),
-                               np.random.default_rng(5))
+        sets = make_epoch_sets(labels, 1, 0.0, np.random.default_rng(5))
         assert len(sets) == 5
         for s in sets:
             (idx,) = s.slots

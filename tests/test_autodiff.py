@@ -17,7 +17,7 @@ class TestConv:
     def test_zero_kernel_annihilates(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(3, 5, 5)))
-        out = conv(x, Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2)), padding=1)
+        out = conv(x, Tensor(np.zeros((2, 3, 3, 3))), padding=1)
         npt.assert_array_equal(out.data, 0.0)
 
     def test_matches_loop_oracle_2d(self):
@@ -27,13 +27,12 @@ class TestConv:
         got = conv(Tensor(x), Tensor(k), padding=1).data
         npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
-    def test_matches_loop_oracle_3d_bias(self):
+    def test_matches_loop_oracle_3d(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 6, 5, 7))
         k = rng.normal(size=(4, 2, 3, 3, 3))
-        b = rng.normal(size=4)
-        got = conv(Tensor(x), Tensor(k), Tensor(b), padding=1).data
-        npt.assert_allclose(got, conv_loop(x, k, b, padding=1), atol=1e-12)
+        got = conv(Tensor(x), Tensor(k), padding=1).data
+        npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
     def test_output_extent_formula(self):
         x = Tensor(np.zeros((1, 11, 9)))
@@ -100,19 +99,14 @@ class TestGlobalAvgPool:
 class TestFullyConnected:
     def test_identity(self):
         x = np.arange(4.0)
-        out = fully_connected(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
+        out = fully_connected(Tensor(x), Tensor(np.eye(4)))
         npt.assert_array_equal(out.data, x)
-
-    def test_zero_weights_bias_only(self):
-        out = fully_connected(Tensor(np.arange(3.0)), Tensor(np.zeros((1, 3))),
-                              Tensor(np.array([5.0])))
-        npt.assert_array_equal(out.data, [5.0])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
-        x, w, b = rng.normal(size=6), rng.normal(size=(4, 6)), rng.normal(size=4)
-        got = fully_connected(Tensor(x), Tensor(w), Tensor(b)).data
-        npt.assert_allclose(got, fc_loop(x, w, b), atol=1e-12)
+        x, w = rng.normal(size=6), rng.normal(size=(4, 6))
+        got = fully_connected(Tensor(x), Tensor(w)).data
+        npt.assert_allclose(got, fc_loop(x, w), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not accept"):
@@ -164,20 +158,19 @@ class TestBackpropagate:
         # composite graph exercising every primitive's backward
         rng = np.random.default_rng(10)
         k1 = parameter(rng.normal(size=(3, 2, 3, 3)) * 0.5, "k1")
-        b1 = parameter(rng.normal(size=3) * 0.1, "b1")
         w = parameter(rng.normal(size=(1, 6)) * 0.5, "w")
         x = Tensor(rng.normal(size=(2, 6, 6)) + 0.3)
 
         def loss_node():
-            h = relu(conv(x, k1, b1, padding=1))
-            h = concat_channels(h, relu(conv(x, k1, b1, padding=1)) * 0.5)
+            h = relu(conv(x, k1, padding=1))
+            h = concat_channels(h, relu(conv(x, k1, padding=1)) * 0.5)
             h = concat_channels(h, Tensor(np.zeros((0, 6, 6))))
             out = fully_connected(global_avg_pool(h), w)
             diff = out - 1.5
             return diff * diff
 
         analytic = backpropagate(loss_node())
-        arrays = {"k1": k1.data, "b1": b1.data, "w": w.data}
+        arrays = {"k1": k1.data, "w": w.data}
         numeric = finite_difference(lambda: loss_node().item(), arrays)
         for name in arrays:
             assert relative_error(analytic[name], numeric[name]).max() < 1e-4

@@ -48,7 +48,8 @@ class TestParsing:
         assert config.values["train.loss"] == "mse"
         assert config.input_shape == (1, 8, 8)
 
-    @pytest.mark.parametrize("line", ["data.imag_extent=8,8", "arch.seed=3"])
+    @pytest.mark.parametrize("line", ["data.imag_extent=8,8", "arch.seed=3",
+                                      "arch.zero_bias=false"])
     def test_unknown_key_with_line_number(self, line):
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
             parse_config_text(f"output_dir=o\n{line}\n")
@@ -147,6 +148,13 @@ class TestCli:
         assert len(predictions) == 1 + 4  # test records
         metrics_lines = (out / "eval" / "metrics.csv").read_text().strip().splitlines()
         assert metrics_lines[0] == "mse,mae,icc,n"
+
+    def test_mixup_with_batch_of_one_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "train.method=mixup\ntrain.batch_size=1\n")
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 2
+        assert "mixup needs batch_size >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train").exists()
 
     def test_train_without_manifest_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

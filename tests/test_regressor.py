@@ -15,6 +15,8 @@ from setsum.trainer import infer
 
 TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
                           skip_connections=((1, 2),), seed=5)
+TINY_3D = ArchitectureConfig(input_shape=(1, 5, 5, 5), conv_blocks=((2, 3), (3, 3)),
+                             skip_connections=((1, 2),), dims=3, seed=5)
 
 
 def walk_parameter_count(arch: ArchitectureConfig) -> int:
@@ -25,13 +27,9 @@ def walk_parameter_count(arch: ArchitectureConfig) -> int:
     for i, (maps, k) in enumerate(arch.conv_blocks, start=1):
         in_ch = channels + sum(outputs[s - 1] for s, d in arch.skip_connections if d == i)
         total += maps * in_ch * k ** arch.dims
-        if not arch.zero_bias:
-            total += maps
         outputs.append(maps)
         channels = maps
     total += channels  # fc weight row
-    if not arch.zero_bias:
-        total += 1
     return total
 
 
@@ -53,18 +51,10 @@ class TestBuild:
         model = build_base_regressor(TINY)
         assert not any("bias" in name for name in model.parameters)
 
-    def test_biases_exist_when_enabled(self):
-        model = build_base_regressor(replace(TINY, zero_bias=False))
-        assert "conv1.bias" in model.parameters
-        assert "fc.bias" in model.parameters
-        npt.assert_array_equal(model.parameters["fc.bias"].data, 0.0)
-
     def test_parameter_count_matches_shape_walk(self):
         desk = ArchitectureConfig(input_shape=(1, 16, 16))
         assert build_base_regressor(desk).parameter_count == walk_parameter_count(desk)
         assert build_base_regressor(TINY).parameter_count == walk_parameter_count(TINY)
-        with_bias = replace(desk, zero_bias=False)
-        assert build_base_regressor(with_bias).parameter_count == walk_parameter_count(with_bias)
 
     def test_desk_scale_count_value(self):
         # 8*1*9 + 16*8*9 + 24*24*9 + 32*24*9 + 32 by hand
@@ -151,20 +141,6 @@ class TestHydraForward:
         padded = hydra_forward(model, [img, None, None, None])
         assert abs(padded - predict(model, img)) < 1e-12
 
-    def test_black_padding_identity_with_biases(self):
-        # without zero_bias (and nonzero biases) the identity needs the
-        # f(black) correction term
-        model = build_base_regressor(replace(TINY, zero_bias=False, seed=9))
-        rng = np.random.default_rng(6)
-        for name, p in model.parameters.items():
-            if name.endswith(".bias"):
-                p.data = rng.uniform(0.1, 0.5, size=p.shape)
-        img = rng.uniform(size=(1, 8, 8))
-        black = predict(model, model.black_image())
-        assert black != 0.0
-        padded = hydra_forward(model, [img, None, None, None])
-        assert abs(padded - (predict(model, img) + 3 * black)) < 1e-12
-
     def test_empty_set_rejected(self):
         model = build_base_regressor(TINY)
         with pytest.raises(ValueError, match="at least one slot"):
@@ -235,6 +211,29 @@ class TestHydraLoss:
         for name in grads_pair:
             npt.assert_allclose(grads_pair[name], ref[name], atol=1e-10)
 
+    @pytest.mark.parametrize("arch", [TINY, TINY_3D], ids=["2d", "3d"])
+    def test_black_slots_contribute_exactly_nothing(self, arch):
+        # a black slot must add exactly 0 to the loss and to every gradient,
+        # so that skipping it changes nothing
+        model = build_base_regressor(arch)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            a, b, c = (rng.uniform(size=arch.input_shape) for _ in range(3))
+            label = float(rng.uniform(0, 10))
+            padded = hydra_loss(model, [a, None, b, c], label, "mse")
+            real = hydra_loss(model, [a, b, c], label, "mse")
+            assert padded.item() == real.item()
+            got, want = backpropagate(padded), backpropagate(real)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+        empty = hydra_loss(model, [None] * 4, 0.0, "mse")
+        assert empty.item() == 0.0
+        grads = backpropagate(empty)
+        assert grads.keys() == model.parameters.keys()
+        for name, g in grads.items():
+            assert not g.any(), name
+
     def test_finished_graph_freed_without_cycle_collector(self):
         # a graph that is a reference cycle, with all its im2col columns,
         # lives until the cycle collector happens to run
@@ -253,7 +252,7 @@ class TestHydraLoss:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        for cfg in (TINY, replace(TINY, zero_bias=False, dropout_rate=0.25)):
+        for cfg in (TINY, replace(TINY, dropout_rate=0.25)):
             model = build_base_regressor(cfg)
             path = tmp_path / "model.ssrm"
             save_model(model, path)

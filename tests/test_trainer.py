@@ -37,6 +37,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="method"):
             TrainConfig(epochs=1, method="magic", n=1, batch_size=1)
 
+    def test_mixup_needs_a_partner(self):
+        # with a batch of one, every image would be mixed with itself
+        with pytest.raises(ValueError, match="mixup needs batch_size >= 2"):
+            TrainConfig(epochs=1, method="mixup", batch_size=1)
+
 
 class TestTrain:
     def test_reduction_setsum_n1_equals_baseline_b1(self, dataset):
