@@ -10,9 +10,13 @@ reference cycle and is freed as soon as the last reference to it is dropped.
 
 Only the primitives the count/volume regressor needs are implemented: 2D/3D
 cross-correlation, ReLU, channel concatenation, global average pooling, fully
-connected layers, inverted dropout, and the elementwise arithmetic used to
-assemble scalar losses.  Everything is float64 and single-threaded per graph;
-identical inputs give bit-identical forward and backward results.
+connected layers, inverted dropout, splitting a batch into its rows, and the
+elementwise arithmetic used to assemble scalar losses.  The network
+primitives take a leading batch axis, (batch, channels, *spatial), so one
+graph carries a whole set of images: a conv layer is one GEMM call for the
+batch, pooling and the fully connected layer act row by row.  Everything is
+float64 and single-threaded per graph; identical inputs give bit-identical
+forward and backward results.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "concat_channels",
     "global_avg_pool",
     "fully_connected",
+    "rows",
     "dropout_apply",
     "backpropagate",
 ]
@@ -150,78 +155,87 @@ def _check_same_shape(op: str, a: Tensor, b) -> None:
 # ---------------------------------------------------------------------------
 
 def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlate ``x`` (channels, *spatial) with ``kernel`` at stride 1.
+    """Cross-correlate every item of ``x`` (batch, channels, *spatial) with ``kernel``.
 
-    ``kernel`` has layout (out_channels, in_channels, *spatial); output
-    extents are in + 2*padding - k + 1 per spatial dimension.  There is no
-    bias: a zero input gives a zero output.
+    ``kernel`` has layout (out_channels, in_channels, *spatial); the stride
+    is 1 and output extents are in + 2*padding - k + 1 per spatial dimension.
+    The whole batch is one GEMM call over a (batch, in_channels * taps,
+    positions) im2col stack.  There is no bias: a zero input gives a zero
+    output.
     """
     d = kernel.ndim - 2
     if d not in (2, 3):
         raise ValueError(f"conv: kernel must have 2 or 3 spatial dimensions, got {d}")
-    if x.ndim != d + 1:
-        raise ValueError(f"conv: input must have shape (channels, *spatial), "
+    if x.ndim != d + 2:
+        raise ValueError(f"conv: input must have shape (batch, channels, *spatial), "
                          f"got {x.ndim} axes for {d} spatial dimensions")
-    if kernel.shape[1] != x.shape[0]:
-        raise ValueError(f"conv: input has {x.shape[0]} channels but kernel expects "
+    if kernel.shape[1] != x.shape[1]:
+        raise ValueError(f"conv: input has {x.shape[1]} channels but kernel expects "
                          f"{kernel.shape[1]} (kernel axis 1)")
     if padding < 0:
         raise ValueError(f"conv: padding must be non-negative, got {padding}")
     kext = kernel.shape[2:]
+    in_ext = x.shape[2:]
     for i in range(d):
-        padded = x.shape[1 + i] + 2 * padding
+        padded = in_ext[i] + 2 * padding
         if kext[i] > padded:
             raise ValueError(f"conv: spatial dimension {i} has padded extent {padded} "
                              f"smaller than kernel extent {kext[i]}")
 
-    c_in, c_out = x.shape[0], kernel.shape[0]
+    batch, c_in = x.shape[:2]
+    c_out = kernel.shape[0]
     if padding:
-        xp = np.zeros((c_in,) + tuple(e + 2 * padding for e in x.shape[1:]))
-        xp[(slice(None),) + tuple(slice(padding, padding + e) for e in x.shape[1:])] = x.data
+        xp = np.zeros((batch, c_in) + tuple(e + 2 * padding for e in in_ext))
+        xp[(slice(None), slice(None)) + tuple(slice(padding, padding + e) for e in in_ext)] = x.data
     else:
         xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, kext, axis=tuple(range(1, d + 1)))
-    out_ext = win.shape[1:d + 1]
-    positions = int(np.prod(out_ext))
-    # flatten to a GEMM: (in_ch * kernel, positions) columns
-    perm = (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1))
-    col = win.transpose(perm).reshape(-1, positions)
+    win = np.lib.stride_tricks.sliding_window_view(xp, kext, axis=tuple(range(2, d + 2)))
+    out_ext = win.shape[2:d + 2]
+    col = _im2col(win, d)
     w_mat = kernel.data.reshape(c_out, -1)
-    out = _result((w_mat @ col).reshape((c_out,) + out_ext), "conv", (x, kernel))
+    out = _result(np.matmul(w_mat, col).reshape((batch, c_out) + out_ext), "conv", (x, kernel))
     if out.requires_grad:
         def _bw(g):
-            g_mat = g.reshape(c_out, -1)
+            g_mat = g.reshape(batch, c_out, -1)
             if kernel.requires_grad:
-                kernel.grad += (g_mat @ col.T).reshape(kernel.shape)
+                kernel.grad += np.matmul(g_mat, col.transpose(0, 2, 1)).sum(axis=0) \
+                    .reshape(kernel.shape)
             if x.requires_grad:
-                gp = _conv_input_grad(g, kernel.data, xp.shape, kext, d)
-                if padding:
-                    core = tuple(slice(padding, gp.shape[1 + i] - padding) for i in range(d))
-                    x.grad += gp[(slice(None),) + core]
-                else:
-                    x.grad += gp
+                x.grad += _conv_input_grad(g, kernel.data, in_ext, padding)
         out._backward = _bw
     return out
 
 
-def _conv_input_grad(g: np.ndarray, kernel: np.ndarray, padded_shape: tuple[int, ...],
-                     kext: tuple[int, ...], d: int) -> np.ndarray:
-    """Gradient w.r.t. the padded input of a cross-correlation.
+def _im2col(win: np.ndarray, d: int) -> np.ndarray:
+    """(batch, channels * taps, positions) GEMM columns of a (batch, channels,
+    *positions, *taps) window view."""
+    perm = (0, 1) + tuple(range(d + 2, 2 * d + 2)) + tuple(range(2, d + 2))
+    positions = int(np.prod(win.shape[2:d + 2]))
+    return win.transpose(perm).reshape(win.shape[0], -1, positions)
 
-    This is itself a full correlation of the output gradient with the
-    spatially flipped kernel, done as one GEMM.
+
+def _conv_input_grad(g: np.ndarray, kernel: np.ndarray, in_ext: tuple[int, ...],
+                     padding: int) -> np.ndarray:
+    """Gradient w.r.t. the unpadded input of a stride-1 cross-correlation.
+
+    This is the full correlation of the output gradient with the spatially
+    flipped kernel, done as one GEMM over only the windows that land on
+    input positions: the padding border's gradient is never computed.
     """
-    c_out, c_in = kernel.shape[:2]
-    out_ext = g.shape[1:]
-    gpad = np.zeros((c_out,) + tuple(out_ext[i] + 2 * (kext[i] - 1) for i in range(d)))
-    gpad[(slice(None),) + tuple(slice(kext[i] - 1, kext[i] - 1 + out_ext[i])
-                                for i in range(d))] = g
-    win = np.lib.stride_tricks.sliding_window_view(gpad, kext, axis=tuple(range(1, d + 1)))
-    perm = (0,) + tuple(range(d + 1, 2 * d + 1)) + tuple(range(1, d + 1))
-    col = win.transpose(perm).reshape(c_out * int(np.prod(kext)), -1)
+    batch, c_out = g.shape[:2]
+    c_in = kernel.shape[1]
+    d = kernel.ndim - 2
+    kext = kernel.shape[2:]
+    out_ext = g.shape[2:]
+    gpad = np.zeros((batch, c_out) + tuple(out_ext[i] + 2 * (kext[i] - 1) for i in range(d)))
+    gpad[(slice(None), slice(None)) + tuple(slice(kext[i] - 1, kext[i] - 1 + out_ext[i])
+                                            for i in range(d))] = g
+    win = np.lib.stride_tricks.sliding_window_view(gpad, kext, axis=tuple(range(2, d + 2)))
+    # full-correlation position p + padding is input position p
+    win = win[(slice(None), slice(None)) + tuple(slice(padding, padding + e) for e in in_ext)]
     flipped = np.flip(kernel, axis=tuple(range(2, 2 + d)))
     w_mat = flipped.transpose((1, 0) + tuple(range(2, 2 + d))).reshape(c_in, -1)
-    return (w_mat @ col).reshape((c_in,) + padded_shape[1:])
+    return np.matmul(w_mat, _im2col(win, d)).reshape((batch, c_in) + in_ext)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -232,60 +246,79 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis; a's channels precede b's."""
+    """Concatenate along the channel axis (axis 1); a's channels precede b's."""
     if a.ndim != b.ndim:
         raise ValueError(f"concat_channels: rank mismatch {a.ndim} vs {b.ndim}")
-    if a.shape[1:] != b.shape[1:]:
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"concat_channels: batch sizes differ, {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[2:] != b.shape[2:]:
         raise ValueError(f"concat_channels: spatial extents differ, "
-                         f"{a.shape[1:]} vs {b.shape[1:]}")
-    out = _result(np.concatenate([a.data, b.data], axis=0), "concat", (a, b))
+                         f"{a.shape[2:]} vs {b.shape[2:]}")
+    out = _result(np.concatenate([a.data, b.data], axis=1), "concat", (a, b))
     if out.requires_grad:
-        ca = a.shape[0]
+        ca = a.shape[1]
         def _bw(g):
             if a.requires_grad:
-                a.grad += g[:ca]
+                a.grad += g[:, :ca]
             if b.requires_grad:
-                b.grad += g[ca:]
+                b.grad += g[:, ca:]
         out._backward = _bw
     return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over all spatial positions, one value per channel."""
-    if x.ndim < 2:
-        raise ValueError("global_avg_pool: input needs at least one spatial dimension")
-    c = x.shape[0]
-    count = int(np.prod(x.shape[1:]))
-    out = _result(x.data.reshape(c, -1).mean(axis=1), "gap", (x,))
+    """Mean over all spatial positions: (batch, channels, *spatial) -> (batch, channels)."""
+    if x.ndim < 3:
+        raise ValueError("global_avg_pool: input must have shape (batch, channels, *spatial)")
+    batch, c = x.shape[:2]
+    count = int(np.prod(x.shape[2:]))
+    out = _result(x.data.reshape(batch, c, -1).mean(axis=2), "gap", (x,))
     if out.requires_grad:
         def _bw(g):
-            x.grad += (g / count).reshape((c,) + (1,) * (x.ndim - 1))
+            x.grad += (g / count).reshape((batch, c) + (1,) * (x.ndim - 2))
         out._backward = _bw
     return out
 
 
 def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
-    """Linear map Wx with no bias; ``weights`` has layout (out, in)."""
-    if x.ndim != 1:
-        raise ValueError(f"fully_connected: input must be a vector, got shape {x.shape}")
-    if weights.ndim != 2 or weights.shape[1] != x.shape[0]:
+    """Row-wise linear map x W^T with no bias: (batch, in) -> (batch, out);
+    ``weights`` has layout (out, in)."""
+    if x.ndim != 2:
+        raise ValueError(f"fully_connected: input must have shape (batch, features), "
+                         f"got {x.shape}")
+    if weights.ndim != 2 or weights.shape[1] != x.shape[1]:
         raise ValueError(f"fully_connected: weights shape {weights.shape} does not accept "
-                         f"input of length {x.shape[0]}")
-    out = _result(weights.data @ x.data, "fc", (x, weights))
+                         f"inputs of length {x.shape[1]}")
+    out = _result(x.data @ weights.data.T, "fc", (x, weights))
     if out.requires_grad:
         def _bw(g):
             if weights.requires_grad:
-                weights.grad += np.outer(g, x.data)
+                weights.grad += g.T @ x.data
             if x.requires_grad:
-                x.grad += weights.data.T @ g
+                x.grad += g @ weights.data
         out._backward = _bw
     return out
+
+
+def rows(x: Tensor) -> list[Tensor]:
+    """The items of a batch: ``rows(x)[b]`` is ``x[b]``, and its gradient flows
+    into row b of ``x``."""
+    items = []
+    for b in range(x.shape[0]):
+        item = _result(x.data[b], "row", (x,))
+        if item.requires_grad:
+            def _bw(g, b=b):
+                x.grad[b] += g
+            item._backward = _bw
+        items.append(item)
+    return items
 
 
 def dropout_apply(x: Tensor, rate: float,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
+    One mask is drawn for the whole tensor, batch axis included.
     Training-time only: inference builds no dropout node, and the survivor
     scaling means no rescaling is ever needed when evaluating.  Identity at
     rate 0.

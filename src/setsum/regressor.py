@@ -3,21 +3,26 @@
 The base network maps one (channels, *spatial) image to one unconstrained
 scalar: a chain of stride-1 same-padded conv+ReLU blocks with optional
 channel-concatenation skip connections, global average pooling, and a final
-single-output fully connected layer with no activation.
+single-output fully connected layer with no activation.  The graph is built
+for a batch, (batch, channels, *spatial) in and (batch, 1) out; ``predict``
+is the batch of one.
 
-``hydra_loss`` trains the network on a whole set at once: every slot is
-pushed through the same parameter tensors (the branches share weights by
-construction, so gradients accumulate across slots), the scalar predictions
-are summed inside the graph, and the loss is computed once against the
-set's summed label.  ``hydra_loss_replicated`` computes the identical
-quantity through explicitly copied per-branch parameters whose gradients
-are summed afterwards; it exists as a cross-check for the weight-sharing
-mechanics and is exercised by the test suite.
+``hydra_loss`` trains the network on a whole set at once, as one graph: the
+set's real slots are stacked into one batch and pushed through the same
+parameter tensors (the branches share weights by construction, so gradients
+accumulate across slots), the per-slot predictions are summed inside the
+graph, and the loss is computed once against the set's summed label.
+``hydra_loss_replicated`` computes the identical quantity through
+explicitly copied per-branch parameters, one graph per slot with black
+slots included, whose gradients are summed afterwards; it exists as a
+cross-check for the weight-sharing mechanics and the black-slot skip, and
+is exercised by the test suite.
 
 The network has no additive terms anywhere (no conv or fc biases), so the
 all-zero "black" image maps to exactly 0, and a black slot adds exactly
 nothing to a set's prediction or to its gradients.  This is what lets a
-black slot stand for "no image" with label 0.
+black slot stand for "no image" with label 0, and what lets ``hydra_loss``
+and ``hydra_forward`` skip black slots instead of computing them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import (Tensor, backpropagate, concat_channels, conv, dropout_apply,
-                       fully_connected, global_avg_pool, parameter, relu)
+                       fully_connected, global_avg_pool, parameter, relu, rows)
 
 __all__ = [
     "MODEL_MAGIC",
@@ -159,12 +164,13 @@ def build_base_regressor(config: ArchitectureConfig) -> RegressorModel:
     return RegressorModel(config, params)
 
 
-def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
+def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], batch: np.ndarray,
              training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-    """Build the forward graph for one image; returns the (1,) output node."""
-    x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.shape != arch.input_shape:
-        raise ValueError(f"input shape {x.shape} does not match "
+    """Build the forward graph for a batch of images, shape (batch, *input_shape);
+    returns the (batch, 1) output node."""
+    x = Tensor(batch)
+    if x.shape[1:] != arch.input_shape:
+        raise ValueError(f"input shape {x.shape[1:]} does not match "
                          f"architecture input {arch.input_shape}")
     rate = arch.dropout_rate
     use_dropout = training and rate is not None and rate > 0.0
@@ -185,19 +191,28 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], image,
 
 
 def predict(model: RegressorModel, image: np.ndarray) -> float:
-    """Scalar prediction for one image; dropout inactive."""
-    return _forward(model.architecture, model.parameters, image).item()
+    """Scalar prediction for one image (a batch of one); dropout inactive."""
+    return _forward(model.architecture, model.parameters, image[np.newaxis]).item()
 
 
-def _materialize(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> list[np.ndarray]:
+def _real_batch(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """A set's real images stacked into one batch.
+
+    Black (``None``) slots are dropped: the network is bias-free, so a black
+    slot adds exactly 0 to the set's prediction and to every gradient.  An
+    all-black set keeps one black slot, so its graph still reaches every
+    parameter.
+    """
     if len(images) == 0:
         raise ValueError("a sample set needs at least one slot")
-    return [model.black_image() if im is None else im for im in images]
+    real = [im for im in images if im is not None]
+    return np.stack(real) if real else model.black_image()[np.newaxis]
 
 
 def hydra_forward(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> float:
     """Summed prediction over a set of image slots; ``None`` slots are black."""
-    return float(sum(predict(model, im) for im in _materialize(model, images)))
+    out = _forward(model.architecture, model.parameters, _real_batch(model, images))
+    return float(out.data.sum())
 
 
 def _loss_node(total: Tensor, label: float, loss_kind: str) -> Tensor:
@@ -212,14 +227,15 @@ def hydra_loss(model: RegressorModel, images: Sequence[Optional[np.ndarray]], la
                rng: np.random.Generator | None = None) -> Tensor:
     """Grouped loss node L(sum of slot predictions, label) for one set.
 
-    All slots run through the same parameter tensors, so a single
-    ``backpropagate`` on the returned node accumulates each parameter's
-    gradient across every branch.
+    The set's real slots go through the network as one batch, so every
+    layer is one op for the whole set and each parameter's gradient
+    accumulates across the branches; the per-slot predictions are then
+    summed inside the graph (the hydra's summing layer).
     """
-    arch = model.architecture
-    outputs = [_forward(arch, model.parameters, im, training=training, rng=rng)
-               for im in _materialize(model, images)]
-    return _loss_node(sum(outputs[1:], outputs[0]), label, loss_kind)
+    out = _forward(model.architecture, model.parameters, _real_batch(model, images),
+                   training=training, rng=rng)
+    heads = rows(out)
+    return _loss_node(sum(heads[1:], heads[0]), label, loss_kind)
 
 
 def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.ndarray]],
@@ -228,17 +244,21 @@ def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.nd
     """Replicated-branch cross-check for :func:`hydra_loss`.
 
     Builds one explicit parameter copy per branch (equal values, distinct
-    tensors), sums the branch outputs, and ties the weights after the fact
-    by summing the per-copy gradients.  Returns (loss value, gradient map
-    keyed like the shared parameters).
+    tensors), runs every slot, black ones included, through its own branch
+    as a batch of one, sums the branch outputs, and ties the weights after
+    the fact by summing the per-copy gradients.  Returns (loss value,
+    gradient map keyed like the shared parameters).
     """
+    if len(images) == 0:
+        raise ValueError("a sample set needs at least one slot")
     arch = model.architecture
-    slots = _materialize(model, images)
+    slots = [model.black_image() if im is None else im for im in images]
     branch_params: list[dict[str, Tensor]] = []
     for b in range(len(slots)):
         branch_params.append({name: parameter(p.data.copy(), f"{name}@{b}")
                               for name, p in model.parameters.items()})
-    outputs = [_forward(arch, branch_params[b], im) for b, im in enumerate(slots)]
+    outputs = [_forward(arch, branch_params[b], im[np.newaxis])
+               for b, im in enumerate(slots)]
     loss = _loss_node(sum(outputs[1:], outputs[0]), label, loss_kind)
     grads = backpropagate(loss)
     combined = {name: np.zeros_like(p.data) for name, p in model.parameters.items()}

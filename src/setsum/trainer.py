@@ -12,7 +12,8 @@ Adadelta step.  The methods differ only in what a step's sets are:
 * ``baseline``: a step is a mini-batch of ``batch_size`` one-image sets
   (ceil(m/b) steps per epoch; equal cadence when b = n).
 * ``mixup``: as baseline, but each image is linearly combined with a
-  shuffled partner from its batch, with lambda ~ uniform(0, 1).
+  shuffled partner from its batch, with lambda ~ uniform(0, 1); a batch of
+  one image takes its partner from the other training images.
 
 Every run returns the parameters of the epoch with the lowest validation
 MSE.  All randomness flows through one generator, so a fixed seed gives a
@@ -74,7 +75,8 @@ class TrainConfig:
 
     For the ``setsum`` method the batch size is tied to the branch count
     (b = n): one set of n slots per optimizer step.  ``mixup`` draws each
-    image's partner from its own batch, so it needs a batch of at least 2.
+    image's partner from its own batch, so it needs a batch of at least 2
+    (and ``train`` needs at least 2 training images).
     """
 
     epochs: int
@@ -151,7 +153,12 @@ def _epoch_steps(images, labels, config: TrainConfig, rng: np.random.Generator):
     for start in range(0, len(order), config.batch_size):
         batch = order[start:start + config.batch_size]
         if config.method == "mixup":
-            partners = batch[rng.permutation(len(batch))]
+            if len(batch) > 1:
+                partners = batch[rng.permutation(len(batch))]
+            else:
+                # a lone last image is paired with any other training image
+                other = int(rng.integers(len(images) - 1))
+                partners = [other + (other >= batch[0])]
             yield (_mixed(images, labels, a, b, aug, rng) for a, b in zip(batch, partners))
         else:
             yield (([_augmented(images[i], aug, rng)], labels[i]) for i in batch)
@@ -167,6 +174,9 @@ def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
         raise ValueError("manifest has no train records")
     if not val_imgs:
         raise ValueError("manifest has no val records")
+    if config.method == "mixup" and len(train_imgs) < 2:
+        raise ValueError(f"mixup needs at least 2 training images to pair, "
+                         f"got {len(train_imgs)}")
     state = AdadeltaState()
     history = TrainHistory()
     best_val = math.inf

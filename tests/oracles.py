@@ -12,20 +12,20 @@ import math
 import numpy as np
 
 
-def conv_loop(x: np.ndarray, kernel: np.ndarray, stride: int = 1,
-              padding: int = 0) -> np.ndarray:
-    """Direct nested-loop cross-correlation, any spatial rank."""
+def conv_loop(x: np.ndarray, kernel: np.ndarray, padding: int = 0) -> np.ndarray:
+    """Direct nested-loop stride-1 cross-correlation of one (channels, *spatial)
+    image, any spatial rank."""
     d = kernel.ndim - 2
     xp = np.pad(x, [(0, 0)] + [(padding, padding)] * d)
     kext = kernel.shape[2:]
-    out_ext = tuple((xp.shape[1 + i] - kext[i]) // stride + 1 for i in range(d))
+    out_ext = tuple(xp.shape[1 + i] - kext[i] + 1 for i in range(d))
     out = np.zeros((kernel.shape[0],) + out_ext)
     for o in range(kernel.shape[0]):
         for pos in np.ndindex(*out_ext):
             acc = 0.0
             for c in range(x.shape[0]):
                 for off in np.ndindex(*kext):
-                    src = tuple(pos[i] * stride + off[i] for i in range(d))
+                    src = tuple(pos[i] + off[i] for i in range(d))
                     acc += xp[(c,) + src] * kernel[(o, c) + off]
             out[(o,) + pos] = acc
     return out

@@ -46,7 +46,7 @@ def test_criterion_01_gradient_correctness():
     h = 1e-5
 
     def loss_and_signs() -> tuple[float, list]:
-        out = _forward(model.architecture, model.parameters, image)
+        out = _forward(model.architecture, model.parameters, image[None])
         pre = [n for n in _toposort(out) if n.op == "conv"]
         diff = out - label
         return (diff * diff).item(), [t.data > 0.0 for t in pre]

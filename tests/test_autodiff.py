@@ -3,20 +3,20 @@ import numpy.testing as npt
 import pytest
 
 from setsum.autodiff import (Tensor, backpropagate, concat_channels, conv, dropout_apply,
-                             fully_connected, global_avg_pool, parameter, relu)
+                             fully_connected, global_avg_pool, parameter, relu, rows)
 
 from oracles import conv_loop, fc_loop, finite_difference, relative_error
 
 
 class TestConv:
     def test_all_ones(self):
-        out = conv(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
-        assert out.shape == (1, 2, 2)
+        out = conv(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
+        assert out.shape == (1, 1, 2, 2)
         npt.assert_array_equal(out.data, 4.0)
 
     def test_zero_kernel_annihilates(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(3, 5, 5)))
+        x = Tensor(rng.normal(size=(1, 3, 5, 5)))
         out = conv(x, Tensor(np.zeros((2, 3, 3, 3))), padding=1)
         npt.assert_array_equal(out.data, 0.0)
 
@@ -24,28 +24,90 @@ class TestConv:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
-        got = conv(Tensor(x), Tensor(k), padding=1).data
+        got = conv(Tensor(x[None]), Tensor(k), padding=1).data[0]
         npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
     def test_matches_loop_oracle_3d(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 6, 5, 7))
         k = rng.normal(size=(4, 2, 3, 3, 3))
-        got = conv(Tensor(x), Tensor(k), padding=1).data
+        got = conv(Tensor(x[None]), Tensor(k), padding=1).data[0]
         npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
     def test_output_extent_formula(self):
-        x = Tensor(np.zeros((1, 11, 9)))
+        x = Tensor(np.zeros((2, 1, 11, 9)))
         k = Tensor(np.zeros((1, 1, 3, 5)))
-        assert conv(x, k, padding=2).shape == (1, 13, 9)
+        assert conv(x, k, padding=2).shape == (2, 1, 13, 9)
 
     def test_channel_mismatch_names_dimension(self):
         with pytest.raises(ValueError, match="kernel axis 1"):
-            conv(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))))
+            conv(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))))
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ValueError, match="spatial dimension 0"):
-            conv(Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 1, 5, 3))))
+            conv(Tensor(np.zeros((1, 1, 2, 8))), Tensor(np.zeros((1, 1, 5, 3))))
+
+
+class TestBatch:
+    """Every primitive applied to a batch equals the oracle applied item by item."""
+
+    @pytest.mark.parametrize("spatial", [(6, 7), (5, 6, 5)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_conv_per_item(self, spatial, k, padding):
+        rng = np.random.default_rng(20 + k + padding)
+        x = rng.normal(size=(3, 2) + spatial)
+        kernel = rng.normal(size=(2, 2) + (k,) * len(spatial))
+        got = conv(Tensor(x), Tensor(kernel), padding=padding).data
+        assert got.shape[0] == 3
+        for b in range(3):
+            npt.assert_allclose(got[b], conv_loop(x[b], kernel, padding=padding), atol=1e-12)
+
+    def test_concat_pool_fc_per_item(self):
+        rng = np.random.default_rng(21)
+        a, c = rng.normal(size=(3, 2, 4, 5)), rng.normal(size=(3, 1, 4, 5))
+        w = rng.normal(size=(2, 3))
+        cat = concat_channels(Tensor(a), Tensor(c)).data
+        pooled = global_avg_pool(Tensor(cat)).data
+        out = fully_connected(Tensor(pooled), Tensor(w)).data
+        for b in range(3):
+            npt.assert_array_equal(cat[b], np.concatenate([a[b], c[b]]))
+            npt.assert_allclose(pooled[b], [cat[b, ch].sum() / 20.0 for ch in range(3)],
+                                atol=1e-12)
+            npt.assert_allclose(out[b], fc_loop(pooled[b], w), atol=1e-12)
+
+    def test_batch_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="batch sizes differ"):
+            concat_channels(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((3, 1, 4, 4))))
+
+    @pytest.mark.parametrize("spatial,k", [((5, 6), 3), ((6, 5), 5), ((4, 3, 4), 3)],
+                             ids=["2d-k3", "2d-k5", "3d-k3"])
+    def test_input_gradient_matches_finite_differences(self, spatial, k):
+        # every padding up to k - 1, and padding k, where no input
+        # position's window reaches into the output gradient's zero border
+        rng = np.random.default_rng(22 + k)
+        kernel = Tensor(rng.normal(size=(3, 2) + (k,) * len(spatial)))
+        w = Tensor(rng.normal(size=(1, 3)))
+        for padding in range(k + 1):
+            x = parameter(rng.normal(size=(2, 2) + spatial), "x")
+            out_ext = tuple(e + 2 * padding - k + 1 for e in spatial)
+            weight = Tensor(rng.normal(size=(2, 3) + out_ext))
+
+            def loss_node():
+                heads = rows(fully_connected(global_avg_pool(
+                    conv(x, kernel, padding=padding) * weight), w))
+                return heads[0] + heads[1]
+
+            analytic = backpropagate(loss_node())["x"]
+            numeric = finite_difference(lambda: loss_node().item(), {"x": x.data})["x"]
+            assert relative_error(analytic, numeric).max() < 1e-6, padding
+
+    def test_rows_route_gradients(self):
+        x = parameter(np.arange(3.0).reshape(3, 1), "x")
+        items = rows(x)
+        assert [item.data.tolist() for item in items] == [[0.0], [1.0], [2.0]]
+        grads = backpropagate(items[0] + items[2] * 2.0)
+        npt.assert_array_equal(grads["x"], [[1.0], [0.0], [2.0]])
 
 
 class TestRelu:
@@ -62,55 +124,55 @@ class TestRelu:
 
 class TestConcatChannels:
     def test_shape_algebra(self):
-        out = concat_channels(Tensor(np.zeros((2, 4, 4))), Tensor(np.ones((3, 4, 4))))
-        assert out.shape == (5, 4, 4)
+        out = concat_channels(Tensor(np.zeros((2, 2, 4, 4))), Tensor(np.ones((2, 3, 4, 4))))
+        assert out.shape == (2, 5, 4, 4)
 
     def test_empty_identity(self):
-        x = np.random.default_rng(2).normal(size=(3, 4, 4))
-        out = concat_channels(Tensor(x), Tensor(np.zeros((0, 4, 4))))
+        x = np.random.default_rng(2).normal(size=(2, 3, 4, 4))
+        out = concat_channels(Tensor(x), Tensor(np.zeros((2, 0, 4, 4))))
         npt.assert_array_equal(out.data, x)
 
     def test_first_channels_recover_a(self):
         rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(2, 4, 4)), rng.normal(size=(3, 4, 4))
+        a, b = rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(2, 3, 4, 4))
         out = concat_channels(Tensor(a), Tensor(b))
-        npt.assert_array_equal(out.data[:2], a)
+        npt.assert_array_equal(out.data[:, :2], a)
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError, match="spatial extents differ"):
-            concat_channels(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 4, 5))))
+            concat_channels(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 4, 5))))
 
 
 class TestGlobalAvgPool:
     def test_mean(self):
-        out = global_avg_pool(Tensor([[1.0, 2.0, 3.0, 4.0]]))
-        npt.assert_array_equal(out.data, [2.5])
+        out = global_avg_pool(Tensor([[[1.0, 2.0, 3.0, 4.0]]]))
+        npt.assert_array_equal(out.data, [[2.5]])
 
     def test_constant_channel(self):
-        out = global_avg_pool(Tensor(np.full((2, 3, 3), 7.0)))
-        npt.assert_array_equal(out.data, [7.0, 7.0])
+        out = global_avg_pool(Tensor(np.full((1, 2, 3, 3), 7.0)))
+        npt.assert_array_equal(out.data, [[7.0, 7.0]])
 
     def test_matches_summation_oracle(self):
         x = np.random.default_rng(4).normal(size=(3, 7, 7))
         expected = np.array([x[c].sum() / 49.0 for c in range(3)])
-        npt.assert_allclose(global_avg_pool(Tensor(x)).data, expected, atol=1e-12)
+        npt.assert_allclose(global_avg_pool(Tensor(x[None])).data[0], expected, atol=1e-12)
 
 
 class TestFullyConnected:
     def test_identity(self):
         x = np.arange(4.0)
-        out = fully_connected(Tensor(x), Tensor(np.eye(4)))
-        npt.assert_array_equal(out.data, x)
+        out = fully_connected(Tensor(x[None]), Tensor(np.eye(4)))
+        npt.assert_array_equal(out.data[0], x)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
         x, w = rng.normal(size=6), rng.normal(size=(4, 6))
-        got = fully_connected(Tensor(x), Tensor(w)).data
+        got = fully_connected(Tensor(x[None]), Tensor(w)).data[0]
         npt.assert_allclose(got, fc_loop(x, w), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not accept"):
-            fully_connected(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
+            fully_connected(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))))
 
 
 class TestDropout:
@@ -149,7 +211,7 @@ class TestBackpropagate:
     def test_shared_parameter_double_use_doubles_gradient(self):
         rng = np.random.default_rng(9)
         w = parameter(rng.normal(size=(1, 4)), "w")
-        x = Tensor(rng.normal(size=4))
+        x = Tensor(rng.normal(size=(1, 4)))
         single = backpropagate(fully_connected(x, w))
         double = backpropagate(fully_connected(x, w) + fully_connected(x, w))
         npt.assert_allclose(double["w"], 2.0 * single["w"], atol=1e-10)
@@ -159,12 +221,12 @@ class TestBackpropagate:
         rng = np.random.default_rng(10)
         k1 = parameter(rng.normal(size=(3, 2, 3, 3)) * 0.5, "k1")
         w = parameter(rng.normal(size=(1, 6)) * 0.5, "w")
-        x = Tensor(rng.normal(size=(2, 6, 6)) + 0.3)
+        x = Tensor(rng.normal(size=(1, 2, 6, 6)) + 0.3)
 
         def loss_node():
             h = relu(conv(x, k1, padding=1))
             h = concat_channels(h, relu(conv(x, k1, padding=1)) * 0.5)
-            h = concat_channels(h, Tensor(np.zeros((0, 6, 6))))
+            h = concat_channels(h, Tensor(np.zeros((1, 0, 6, 6))))
             out = fully_connected(global_avg_pool(h), w)
             diff = out - 1.5
             return diff * diff
@@ -190,7 +252,7 @@ class TestProperties:
     def test_linear_ops_are_linear(self):
         rng = np.random.default_rng(11)
         alpha, beta = 1.7, -0.6
-        x, y = rng.normal(size=(2, 5, 5)), rng.normal(size=(2, 5, 5))
+        x, y = rng.normal(size=(1, 2, 5, 5)), rng.normal(size=(1, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         combo = Tensor(alpha * x + beta * y)
 
@@ -204,14 +266,14 @@ class TestProperties:
                             + beta * global_avg_pool(Tensor(y)).data, atol=1e-10)
 
         w = rng.normal(size=(3, 4))
-        u, v = rng.normal(size=4), rng.normal(size=4)
+        u, v = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         npt.assert_allclose(
             fully_connected(Tensor(alpha * u + beta * v), Tensor(w)).data,
             alpha * fully_connected(Tensor(u), Tensor(w)).data
             + beta * fully_connected(Tensor(v), Tensor(w)).data, atol=1e-10)
 
-        a1, a2 = rng.normal(size=(1, 5, 5)), rng.normal(size=(1, 5, 5))
-        b1, b2 = rng.normal(size=(2, 5, 5)), rng.normal(size=(2, 5, 5))
+        a1, a2 = rng.normal(size=(1, 1, 5, 5)), rng.normal(size=(1, 1, 5, 5))
+        b1, b2 = rng.normal(size=(1, 2, 5, 5)), rng.normal(size=(1, 2, 5, 5))
         lhs = concat_channels(Tensor(alpha * a1 + beta * a2),
                               Tensor(alpha * b1 + beta * b2)).data
         rhs = alpha * concat_channels(Tensor(a1), Tensor(b1)).data \
@@ -222,7 +284,7 @@ class TestProperties:
         def run():
             rng = np.random.default_rng(12)
             k = parameter(rng.normal(size=(2, 1, 3, 3)), "k")
-            x = Tensor(rng.normal(size=(1, 6, 6)))
+            x = Tensor(rng.normal(size=(1, 1, 6, 6)))
             out = fully_connected(global_avg_pool(relu(conv(x, k, padding=1))),
                                   Tensor(rng.normal(size=(1, 2))))
             grads = backpropagate(out * out)
@@ -236,7 +298,7 @@ class TestProperties:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(13)
         k = parameter(rng.normal(size=(4, 3, 3, 3)), "k")
-        x = Tensor(rng.normal(size=(3, 8, 8)) * 100)
+        x = Tensor(rng.normal(size=(1, 3, 8, 8)) * 100)
         out = global_avg_pool(relu(conv(x, k, padding=1)))
         total = fully_connected(out, Tensor(rng.normal(size=(1, 4))))
         grads = backpropagate(total * total)

@@ -156,6 +156,15 @@ class TestCli:
         assert "mixup needs batch_size >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "train").exists()
 
+    def test_mixup_with_one_training_image_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE.format(out=tmp_path / "out").replace("data.num_train=8",
+                                                                  "data.num_train=1")
+                       + "train.method=mixup\ntrain.batch_size=2\n")
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 2
+        assert "at least 2 training images" in capsys.readouterr().err
+
     def test_train_without_manifest_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", str(cfg)]) == 2

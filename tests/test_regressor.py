@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from setsum.autodiff import backpropagate
+from setsum.autodiff import _toposort, backpropagate
 from setsum.data import SyntheticConfig, generate_dataset, load_split
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
                               hydra_loss, hydra_loss_replicated, load_model, predict,
@@ -199,6 +199,33 @@ class TestHydraLoss:
             assert grads.keys() == ref_grads.keys()
             for name in grads:
                 npt.assert_allclose(grads[name], ref_grads[name], atol=1e-10)
+
+    @pytest.mark.parametrize("real", range(5))
+    def test_matches_replicated_branch_oracle_3d(self, real):
+        # the grouped graph batches only the real slots; the oracle runs every
+        # slot, black ones included, through its own branch
+        rng = np.random.default_rng(30 + real)
+        model = build_base_regressor(TINY_3D)
+        for loss_kind in ("mse", "mae"):
+            images = [rng.uniform(size=TINY_3D.input_shape) for _ in range(real)]
+            images += [None] * (4 - real)
+            images = [images[i] for i in rng.permutation(4)]
+            label = float(rng.uniform(0, 10))
+            node = hydra_loss(model, images, label, loss_kind)
+            grads = backpropagate(node)
+            ref_loss, ref_grads = hydra_loss_replicated(model, images, label, loss_kind)
+            assert abs(node.item() - ref_loss) <= 1e-10
+            assert grads.keys() == ref_grads.keys()
+            for name in grads:
+                npt.assert_allclose(grads[name], ref_grads[name], atol=1e-10)
+
+    def test_black_slots_are_not_forwarded(self):
+        model = build_base_regressor(TINY)
+        img = np.random.default_rng(11).uniform(size=(1, 8, 8))
+        loss = hydra_loss(model, [img, None, None, None], 1.0, "mse")
+        convs = [n for n in _toposort(loss) if n.op == "conv"]
+        assert len(convs) == len(TINY.conv_blocks)
+        assert all(n.shape[0] == 1 for n in convs)
 
     def test_branch_sharing_doubles_gradients(self):
         model = build_base_regressor(TINY)

@@ -146,6 +146,35 @@ class TestTrain:
         train(fresh_model(), dataset, cfg, np.random.default_rng(15))
         assert len(calls) == 2 * ((m + 4) // 5)
 
+    def test_lone_mixup_image_gets_another_partner(self, tmp_path, monkeypatch):
+        # m = 7 and b = 3 leave a last batch of one image in every epoch
+        manifest = generate_dataset(tmp_path, SYNTH, 7, 2, 1)
+        cfg = TrainConfig(epochs=5, method="mixup", n=4, batch_size=3)
+        pairs = []
+        original = trainer_mod._mixed
+
+        def recording(images, labels, a, b, aug, rng):
+            pairs.append((int(a), int(b)))
+            return original(images, labels, a, b, aug, rng)
+
+        monkeypatch.setattr(trainer_mod, "_mixed", recording)
+        model_a, hist_a = train(fresh_model(), manifest, cfg, np.random.default_rng(29))
+        lone = pairs[6::7]
+        assert len(pairs) == 5 * 7 and len(lone) == 5
+        assert all(a != b for a, b in lone), lone
+        model_b, hist_b = train(fresh_model(), manifest, cfg, np.random.default_rng(29))
+        assert pairs[35:] == pairs[:35]
+        assert hist_a == hist_b
+        for name in model_a.parameters:
+            assert np.array_equal(model_a.parameters[name].data,
+                                  model_b.parameters[name].data)
+
+    def test_mixup_needs_two_training_images(self, tmp_path):
+        manifest = generate_dataset(tmp_path, SYNTH, 1, 2, 1)
+        cfg = TrainConfig(epochs=1, method="mixup", n=4, batch_size=2)
+        with pytest.raises(ValueError, match="at least 2 training images"):
+            train(fresh_model(), manifest, cfg, np.random.default_rng(0))
+
     def test_divergence_aborts_with_epoch(self, dataset):
         model = fresh_model()
         model.parameters["fc.weight"].data[:] = np.inf
