@@ -12,9 +12,9 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ from . import data as data_mod
 from .config import ConfigError, RunConfig, config_text, parse_config_file
 from .metrics import evaluate_pairs
 from .regressor import build_base_regressor, load_model, save_model
-from .trainer import (TrainingDiverged, _derive_seed, format_float, infer,
-                      learning_curve_experiment, train, write_aggregate_csv, write_job_csv)
+from .trainer import (TrainingDiverged, _derive_seed, infer, learning_curve_experiment, train,
+                      write_aggregate_csv, write_job_csv)
 
 __all__ = ["main"]
 
@@ -75,7 +75,7 @@ def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
 def _echo_config(config: RunConfig) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config_resolved.cfg").write_text(config_text(config), encoding="utf-8")
+    data_mod.write_atomic(out / "config_resolved.cfg", config_text(config).encode("utf-8"))
 
 
 def _build_or_resume(config: RunConfig):
@@ -83,7 +83,15 @@ def _build_or_resume(config: RunConfig):
     if init is not None:
         if not Path(init).is_file():
             raise ConfigError(f"train.init_model not found: {init}")
-        return load_model(init)
+        model = load_model(init)
+        saved = model.architecture
+        wanted = config.architecture(model_seed=saved.seed)
+        differ = [f"{f.name} (saved {getattr(saved, f.name)}, config {getattr(wanted, f.name)})"
+                  for f in fields(saved) if getattr(saved, f.name) != getattr(wanted, f.name)]
+        if differ:
+            raise ConfigError(f"train.init_model {init} does not match the config's "
+                              f"architecture: {'; '.join(differ)}")
+        return model
     arch = config.architecture(model_seed=_derive_seed(config.seed, 2))
     return build_base_regressor(arch)
 
@@ -114,12 +122,8 @@ def cmd_train(config: RunConfig, args) -> int:
     out_dir = Path(config.output_dir) / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.ssrm")
-    with open(out_dir / "history.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_mse", "seconds"])
-        for epoch, (loss, val) in enumerate(zip(history.train_loss, history.val_mse)):
-            writer.writerow([epoch, format_float(loss), format_float(val),
-                             format_float(history.seconds[epoch])])
+    data_mod.write_csv(out_dir / "history.csv", ["epoch", "train_loss", "val_mse"],
+                       zip(range(train_config.epochs), history.train_loss, history.val_mse))
     print(f"trained {train_config.epochs} epochs ({train_config.method}); "
           f"best epoch {history.best_epoch} "
           f"with validation MSE {history.val_mse[history.best_epoch]:.6f}")
@@ -141,17 +145,11 @@ def cmd_eval(config: RunConfig, args) -> int:
     truths = [manifest.label_of(r) for r in records]
     out_dir = Path(config.output_dir) / "eval"
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "truth", "prediction"])
-        for rec, truth, pred in zip(records, truths, predictions):
-            writer.writerow([rec.path, format_float(truth), format_float(pred)])
+    data_mod.write_csv(out_dir / "predictions.csv", ["path", "truth", "prediction"],
+                       zip((r.path for r in records), truths, predictions))
     report = evaluate_pairs(truths, predictions)
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mse", "mae", "icc", "n"])
-        writer.writerow([format_float(report.mse), format_float(report.mae),
-                         format_float(report.icc), report.n])
+    data_mod.write_csv(out_dir / "metrics.csv", ["mse", "mae", "icc", "n"],
+                       [(report.mse, report.mae, report.icc, report.n)])
     print(report)
     return EXIT_OK
 

@@ -167,7 +167,6 @@ class RunConfig:
         v = self.values
         return SyntheticConfig(
             image_extent=tuple(v["data.image_extent"]),
-            dims=v["data.dims"],
             blob_count_range=v["data.blob_count_range"],
             blob_sigma_range=v["data.blob_sigma_range"],
             intensity_range=v["data.intensity_range"],
@@ -182,7 +181,6 @@ class RunConfig:
             input_shape=self.input_shape,
             conv_blocks=v["arch.conv_blocks"],
             skip_connections=v["arch.skip_connections"],
-            dims=v["data.dims"],
             dropout_rate=v["arch.dropout_rate"],
             seed=model_seed,
         )

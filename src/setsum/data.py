@@ -12,16 +12,20 @@ File formats:
 * tensor file: magic ``SSTF1``, u8 dimension count, little-endian u32
   extents, then the row-major float64 payload (little-endian).
 * manifest: UTF-8 CSV with header ``path,count_label,volume_label,split``;
-  paths are relative to the manifest's directory.
+  paths are relative to the manifest's directory and must stay inside it.
+* CSV artifacts: written by :func:`write_csv`, which, like the model file,
+  replaces its target atomically (:func:`write_atomic`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +40,9 @@ __all__ = [
     "rescale_intensity",
     "write_tensor",
     "read_tensor",
+    "write_atomic",
+    "format_float",
+    "write_csv",
     "write_manifest",
     "read_manifest",
     "split_count_sequence",
@@ -57,7 +64,6 @@ class SyntheticConfig:
     """Parameters of the blob-count generator."""
 
     image_extent: tuple[int, ...] = (16, 16)
-    dims: int = 2
     blob_count_range: tuple[int, int] = (0, 8)
     blob_sigma_range: tuple[float, float] = (0.5, 0.8)
     intensity_range: tuple[float, float] = (0.8, 1.2)
@@ -65,11 +71,13 @@ class SyntheticConfig:
     volume_threshold: float = 0.3
     seed: int = 0
 
+    @property
+    def dims(self) -> int:
+        return len(self.image_extent)
+
     def __post_init__(self):
         if self.dims not in (2, 3):
-            raise ValueError(f"dims must be 2 or 3, got {self.dims}")
-        if len(self.image_extent) != self.dims:
-            raise ValueError(f"image_extent {self.image_extent} does not match dims={self.dims}")
+            raise ValueError(f"image_extent {self.image_extent} must have 2 or 3 extents")
         if any(e < 1 for e in self.image_extent):
             raise ValueError(f"image extents must be positive, got {self.image_extent}")
         for name in ("blob_count_range", "blob_sigma_range", "intensity_range"):
@@ -91,14 +99,14 @@ _PLACEMENT_TRIES = 200
 _PLACEMENT_RESTARTS = 50
 
 
-def _place_centers(sigmas: np.ndarray, extent: tuple[int, ...], dims: int,
+def _place_centers(sigmas: np.ndarray, extent: tuple[int, ...],
                    rng: np.random.Generator) -> np.ndarray | None:
     """Sequential rejection sampling of blob centers; None when it dead-ends."""
     k = len(sigmas)
-    centers = np.empty((k, dims))
+    centers = np.empty((k, len(extent)))
     for i in range(k):
         margin = 2.0 * sigmas[i]
-        lo = np.full(dims, margin)
+        lo = np.full(len(extent), margin)
         hi = np.asarray(extent, dtype=np.float64) - margin
         if np.any(hi <= lo):
             raise ValueError(f"blob of sigma {sigmas[i]:.3f} does not fit extent {extent}")
@@ -134,7 +142,7 @@ def generate_blob_image(config: SyntheticConfig,
     amplitudes = rng.uniform(*config.intensity_range, size=k)
     centers = None
     for _ in range(_PLACEMENT_RESTARTS):
-        centers = _place_centers(sigmas, extent, config.dims, rng)
+        centers = _place_centers(sigmas, extent, rng)
         if centers is not None:
             break
     if centers is None:
@@ -234,6 +242,45 @@ def read_tensor(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# atomic writes and CSV artifacts
+# ---------------------------------------------------------------------------
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step.
+
+    The bytes go to a temporary file in the same directory, which is then
+    renamed over ``path``; on any failure the temporary file is removed and
+    ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def format_float(value: Optional[float]) -> str:
+    """Shortest round-trip decimal form; None becomes ``NA``."""
+    return "NA" if value is None else repr(float(value))
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Atomically write a UTF-8 CSV: nothing reaches ``path`` unless every row
+    was produced.  Float and None cells go through :func:`format_float`."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_float(v) if v is None or isinstance(v, float) else v
+                         for v in row])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------
 
@@ -267,11 +314,8 @@ class DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for rec in manifest.records:
-            writer.writerow([rec.path, rec.count_label, rec.volume_label, rec.split])
+    write_csv(path, MANIFEST_HEADER,
+              ([r.path, r.count_label, r.volume_label, r.split] for r in manifest.records))
 
 
 def read_manifest(path, label_kind: str = "count") -> DatasetManifest:
@@ -286,6 +330,9 @@ def read_manifest(path, label_kind: str = "count") -> DatasetManifest:
         if len(row) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         rec_path, count_s, volume_s, split = row
+        if os.path.isabs(rec_path) or os.path.normpath(rec_path).split(os.sep)[0] == "..":
+            raise ValueError(f"{path}:{lineno}: path {rec_path!r} leaves the manifest's "
+                             f"directory")
         if rec_path in seen:
             raise ValueError(f"{path}:{lineno}: duplicate path {rec_path!r}")
         seen.add(rec_path)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .autodiff import (Tensor, backpropagate, concat_channels, conv, dropout_apply,
                        fully_connected, global_avg_pool, parameter, relu, rows)
+from .data import write_atomic
 
 __all__ = [
     "MODEL_MAGIC",
@@ -68,16 +69,17 @@ class ArchitectureConfig:
     input_shape: tuple[int, ...]
     conv_blocks: tuple[tuple[int, int], ...] = ((8, 3), (16, 3), (24, 3), (32, 3))
     skip_connections: tuple[tuple[int, int], ...] = ((1, 3),)
-    dims: int = 2
     dropout_rate: Optional[float] = None
     seed: int = 0
 
+    @property
+    def dims(self) -> int:
+        return len(self.input_shape) - 1
+
     def __post_init__(self):
         if self.dims not in (2, 3):
-            raise ValueError(f"dims must be 2 or 3, got {self.dims}")
-        if len(self.input_shape) != self.dims + 1:
             raise ValueError(f"input_shape {self.input_shape} must be "
-                             f"(channels, *{self.dims} spatial extents)")
+                             f"(channels, *2 or 3 spatial extents)")
         if any(e < 1 for e in self.input_shape):
             raise ValueError(f"input_shape extents must be positive, got {self.input_shape}")
         if not self.conv_blocks:
@@ -269,7 +271,8 @@ def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.nd
 
 
 # ---------------------------------------------------------------------------
-# serialization: magic, length-prefixed config text, then raw float64 params
+# serialization: magic, length-prefixed config text, then raw float64 params;
+# config lines the loader does not read (``dims=`` in older files) are ignored
 # ---------------------------------------------------------------------------
 
 def _config_text(arch: ArchitectureConfig) -> str:
@@ -277,7 +280,6 @@ def _config_text(arch: ArchitectureConfig) -> str:
         "input_shape=" + ",".join(str(e) for e in arch.input_shape),
         "conv_blocks=" + ",".join(f"{m}:{k}" for m, k in arch.conv_blocks),
         "skip_connections=" + ",".join(f"{s}:{d}" for s, d in arch.skip_connections),
-        f"dims={arch.dims}",
         "dropout_rate=" + ("none" if arch.dropout_rate is None else repr(arch.dropout_rate)),
         f"seed={arch.seed}",
     ]
@@ -297,7 +299,6 @@ def _config_from_text(text: str) -> ArchitectureConfig:
             input_shape=tuple(int(x) for x in fields["input_shape"].split(",")),
             conv_blocks=pairs(fields["conv_blocks"]),
             skip_connections=pairs(fields["skip_connections"]),
-            dims=int(fields["dims"]),
             dropout_rate=None if fields["dropout_rate"] == "none" else float(fields["dropout_rate"]),
             seed=int(fields["seed"]),
         )
@@ -307,12 +308,10 @@ def _config_from_text(text: str) -> ArchitectureConfig:
 
 def save_model(model: RegressorModel, path) -> None:
     blob = _config_text(model.architecture).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, _, _ in _layer_plan(model.architecture):
-            fh.write(model.parameters[name].data.astype("<f8", copy=False).tobytes(order="C"))
+    parts = [MODEL_MAGIC, struct.pack("<I", len(blob)), blob]
+    for name, _, _ in _layer_plan(model.architecture):
+        parts.append(model.parameters[name].data.astype("<f8", copy=False).tobytes(order="C"))
+    write_atomic(path, b"".join(parts))
 
 
 def load_model(path) -> RegressorModel:

@@ -17,13 +17,11 @@ Adadelta step.  The methods differ only in what a step's sets are:
 
 Every run returns the parameters of the epoch with the lowest validation
 MSE.  All randomness flows through one generator, so a fixed seed gives a
-bit-identical run; the recorded per-epoch ``seconds`` are written as 0.0
-(reserved) so histories and derived CSV files stay byte-reproducible.
+bit-identical run.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +33,7 @@ import numpy as np
 
 from .augment import AugmentationConfig, make_epoch_sets, mixup_pair, random_geometric_augment
 from .autodiff import backpropagate
-from .data import DatasetManifest, load_split
+from .data import DatasetManifest, load_split, write_csv
 from .metrics import icc as _icc
 from .metrics import mse as _mse
 from .optim import AdadeltaState, adadelta_step
@@ -55,7 +53,6 @@ __all__ = [
     "learning_curve_experiment",
     "write_job_csv",
     "write_aggregate_csv",
-    "format_float",
 ]
 
 METHODS = ("setsum", "baseline", "mixup")
@@ -106,11 +103,10 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch curves; ``seconds`` is reserved and always 0.0 (see module doc)."""
+    """Per-epoch curves."""
 
     train_loss: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
     best_epoch: int = 0
 
 
@@ -194,7 +190,6 @@ def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
         val_mse = _check_finite(float(np.mean((val_pred - val_labels) ** 2)), epoch,
                                 "validation MSE")
         history.val_mse.append(val_mse)
-        history.seconds.append(0.0)
         if val_mse < best_val:
             best_val = val_mse
             history.best_epoch = epoch
@@ -224,7 +219,6 @@ class CurveJobResult:
     seed: int
     test_mse: float
     test_icc: Optional[float]
-    train_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -288,8 +282,6 @@ class _CurveJob:
     train_indices: tuple[int, ...]
     arch: ArchitectureConfig
     config: TrainConfig
-    size: int
-    method: str
     rep: int
     model_seed: int
     rng_key: tuple[int, ...]
@@ -308,7 +300,8 @@ def _run_curve_job(job: _CurveJob) -> CurveJobResult:
     truths = [manifest.label_of(r) for r in manifest.split_records("test")]
     test_mse = _mse(truths, predictions)
     test_icc = _icc(truths, predictions) if len(truths) >= 3 else None
-    return CurveJobResult(job.size, job.method, job.rep, test_mse, test_icc)
+    return CurveJobResult(len(job.train_indices), job.config.method, job.rep, test_mse,
+                          test_icc)
 
 
 def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
@@ -347,7 +340,7 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
             for rep in range(num_seeds):
                 job_list.append(_CurveJob(
                     manifest=manifest, train_indices=tuple(indices), arch=arch,
-                    config=cfg, size=size, method=method, rep=rep,
+                    config=cfg, rep=rep,
                     model_seed=_derive_seed(master_seed, 7, size, mi, rep),
                     rng_key=(master_seed, 8, size, mi, rep)))
     workers = min(jobs, len(job_list), os.cpu_count() or 1)
@@ -373,25 +366,12 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
 # CSV artifacts
 # ---------------------------------------------------------------------------
 
-def format_float(value: Optional[float]) -> str:
-    """Shortest round-trip decimal form; None becomes ``NA``."""
-    return "NA" if value is None else repr(float(value))
-
-
 def write_job_csv(path, results: Sequence[CurveJobResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "method", "seed", "test_mse", "test_icc", "train_seconds"])
-        for r in results:
-            writer.writerow([r.size, r.method, r.seed, format_float(r.test_mse),
-                             format_float(r.test_icc), format_float(r.train_seconds)])
+    write_csv(path, ["size", "method", "seed", "test_mse", "test_icc"],
+              ([r.size, r.method, r.seed, r.test_mse, r.test_icc] for r in results))
 
 
 def write_aggregate_csv(path, points: Sequence[LearningCurvePoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "method", "mean_mse", "std_mse", "mean_icc", "std_icc"])
-        for p in points:
-            writer.writerow([p.training_set_size, p.method, format_float(p.mean_mse),
-                             format_float(p.std_mse), format_float(p.mean_icc),
-                             format_float(p.std_icc)])
+    write_csv(path, ["size", "method", "mean_mse", "std_mse", "mean_icc", "std_icc"],
+              ([p.training_set_size, p.method, p.mean_mse, p.std_mse, p.mean_icc, p.std_icc]
+               for p in points))

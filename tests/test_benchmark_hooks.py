@@ -15,10 +15,11 @@ import numpy as np
 
 import setsum.regressor
 import setsum.trainer
+from setsum.augment import AugmentationConfig
 from setsum.autodiff import Tensor
 from setsum.data import SyntheticConfig, generate_dataset
 from setsum.regressor import ArchitectureConfig, build_base_regressor
-from setsum.trainer import TrainConfig, train
+from setsum.trainer import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 INSTRUMENT = PERFBENCH / "instrument.py"
@@ -52,9 +53,10 @@ def test_workload_configs_resolve(monkeypatch):
             config.train_config()
 
 
-def test_setsum_training_reaches_every_hooked_op(tmp_path, monkeypatch):
+def _assert_workload_hooks_reached(tmp_path, monkeypatch, config: TrainConfig):
     # the traced benchmark run counts a hook that is never called as a failed
-    # operation; a setsum run must reach every primitive and operator it hooks
+    # operation; the names asserted are those perfbench/workloads.py `trace`
+    # hooks for a workload of this method, batch size and augmentation
     instrument = _instrument()
     calls = Counter()
 
@@ -64,17 +66,43 @@ def test_setsum_training_reaches_every_hooked_op(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in instrument.PRIMITIVES:
-        monkeypatch.setattr(setsum.regressor, name,
-                            counting(name, getattr(setsum.regressor, name)))
-    for name in ("__add__", "__sub__", "__mul__"):
-        monkeypatch.setattr(Tensor, name, counting(name, getattr(Tensor, name)))
+    for owner, names in ((setsum.trainer, instrument.TRAINER_CALLS),
+                         (setsum.regressor, instrument.PRIMITIVES),
+                         (Tensor, instrument.ARITHMETIC)):
+        for name in names:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     synth = SyntheticConfig(image_extent=(8, 8), blob_count_range=(0, 3),
                             blob_sigma_range=(0.45, 0.7), seed=3)
-    manifest = generate_dataset(tmp_path, synth, 6, 2, 1)
+    manifest = generate_dataset(tmp_path, synth, 6, 2, 5)
     arch = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
                               skip_connections=((1, 2),), seed=4)
-    train(build_base_regressor(arch), manifest, TrainConfig(epochs=2, n=4, p=0.1),
-          np.random.default_rng(5))
-    names = list(instrument.PRIMITIVES) + ["__add__", "__sub__", "__mul__"]
+    model, _ = setsum.trainer.train(build_base_regressor(arch), manifest, config,
+                                    np.random.default_rng(5))
+    before = calls["predict"]
+    setsum.trainer.infer(model, manifest, "test")
+    # the untraced probe times each predict inside infer, one per test image
+    assert calls["predict"] - before == 5
+    names = ["train", "infer", "predict", "hydra_loss", "backpropagate", "adadelta_step",
+             "load_split"]
+    if config.method == "setsum":
+        names.append("make_epoch_sets")
+    if config.augmentation is not None:
+        names.append("random_geometric_augment")
+    names += list(instrument.PRIMITIVES) + ["__sub__", "__mul__"]
+    if config.method == "setsum" or config.batch_size > 1:
+        names.append("__add__")
     assert [name for name in names if calls[name] == 0] == []
+
+
+def test_setsum_training_reaches_every_hooked_op(tmp_path, monkeypatch):
+    # the setsum_2d16 shape: one set of n per step, augmentation on
+    aug = AugmentationConfig(flip_axes=(0, 1), rotation_range_radians=0.2,
+                             translation_range_voxels=1)
+    config = TrainConfig(epochs=2, n=4, p=0.1, augmentation=aug)
+    _assert_workload_hooks_reached(tmp_path, monkeypatch, config)
+
+
+def test_baseline_training_reaches_every_hooked_op(tmp_path, monkeypatch):
+    # the baseline_3d12 shape: batch 1, augmentation off
+    config = TrainConfig(epochs=2, method="baseline", batch_size=1)
+    _assert_workload_hooks_reached(tmp_path, monkeypatch, config)

@@ -140,7 +140,7 @@ class TestCli:
         out = tmp_path / "out"
         assert (out / "train" / "model.ssrm").is_file()
         history = (out / "train" / "history.csv").read_text().strip().splitlines()
-        assert history[0] == "epoch,train_loss,val_mse,seconds"
+        assert history[0] == "epoch,train_loss,val_mse"
         assert len(history) == 1 + 3  # epochs
         assert main(["eval", str(cfg)]) == 0
         predictions = (out / "eval" / "predictions.csv").read_text().strip().splitlines()
@@ -170,6 +170,14 @@ class TestCli:
         assert main(["train", str(cfg)]) == 2
         assert "manifest not found" in capsys.readouterr().err
 
+    def test_manifest_path_outside_its_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        manifest = tmp_path / "out" / "dataset" / "manifest.csv"
+        manifest.parent.mkdir(parents=True)
+        manifest.write_text("path,count_label,volume_label,split\n../secret.sstf,1,1,train\n")
+        assert main(["train", str(cfg)]) == 2
+        assert "manifest.csv:2: path '../secret.sstf' leaves" in capsys.readouterr().err
+
     def test_resume_with_corrupt_model_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["generate", str(cfg)]) == 0
@@ -178,6 +186,29 @@ class TestCli:
         cfg2 = write_config(tmp_path, f"train.init_model={corrupt}\n")
         assert main(["train", str(cfg2)]) == 2
         assert "SSRM1" in capsys.readouterr().err
+
+    def test_resume_under_same_architecture(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        saved = tmp_path / "saved.ssrm"
+        save_model(build_base_regressor(parse_config_file(cfg).architecture(model_seed=9)),
+                   saved)
+        assert main(["train", str(write_config(tmp_path, f"train.init_model={saved}\n"))]) == 0
+        assert (tmp_path / "out" / "train" / "model.ssrm").is_file()
+
+    def test_resume_under_different_architecture_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        saved = tmp_path / "saved.ssrm"
+        save_model(build_base_regressor(parse_config_file(cfg).architecture(model_seed=9)),
+                   saved)
+        cfg.write_text(BASE.format(out=tmp_path / "out").replace("arch.conv_blocks=3:3,4:3",
+                                                                 "arch.conv_blocks=3:3,5:3")
+                       + f"train.init_model={saved}\n")
+        assert main(["train", str(cfg)]) == 2
+        assert ("conv_blocks (saved ((3, 3), (4, 3)), config ((3, 3), (5, 3)))"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "train").exists()
 
     def test_eval_perfect_model_reports_icc_one(self, tmp_path):
         # hand-made dataset whose labels are exactly recoverable: uniform

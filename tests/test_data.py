@@ -8,7 +8,7 @@ import pytest
 from setsum.data import (DatasetManifest, ImageRecord, SyntheticConfig, TensorFormatError,
                          center_of_mass_crop, generate_blob_image, generate_dataset,
                          load_split, read_manifest, read_tensor, rescale_intensity,
-                         write_manifest, write_tensor)
+                         write_atomic, write_csv, write_manifest, write_tensor)
 
 
 class TestGenerateBlobImage:
@@ -49,6 +49,11 @@ class TestGenerateBlobImage:
     def test_extent_too_small_for_sigma_rejected(self):
         with pytest.raises(ValueError, match="4x sigma"):
             SyntheticConfig(image_extent=(4, 4), blob_sigma_range=(1.0, 1.5))
+
+    def test_dims_follow_image_extent(self):
+        assert SyntheticConfig(image_extent=(8, 8, 8)).dims == 3
+        with pytest.raises(ValueError, match="2 or 3 extents"):
+            SyntheticConfig(image_extent=(8, 8, 8, 8))
 
 
 class TestCenterOfMassCrop:
@@ -183,6 +188,53 @@ class TestManifest:
         path.write_text("file,count,volume,split\n")
         with pytest.raises(ValueError, match="header"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("rec_path", ["/tmp/a.sstf", "../a.sstf", "images/../../a.sstf"])
+    def test_path_outside_manifest_directory_rejected(self, tmp_path, rec_path):
+        path = tmp_path / "m.csv"
+        path.write_text("path,count_label,volume_label,split\n"
+                        f"images/b.sstf,1,1,train\n{rec_path},1,1,train\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: .*leaves the manifest's directory"):
+            read_manifest(path)
+
+    def test_path_that_stays_inside_accepted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("path,count_label,volume_label,split\n"
+                        "images/../b.sstf,1,1,train\n")
+        assert read_manifest(path).records[0].path == "images/../b.sstf"
+
+
+class TestAtomicWrites:
+    def test_csv_cells(self, tmp_path):
+        write_csv(tmp_path / "a.csv", ["name", "x", "y", "n"], [("a", 0.1, None, 3)])
+        assert (tmp_path / "a.csv").read_bytes() == b"name,x,y,n\r\na,0.1,NA,3\r\n"
+
+    def test_failing_rows_keep_previous_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["x"], [(1.0,), (2.0,)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (3.0,)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(path, ["x"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_failed_replace_removes_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("setsum.data.os.replace", no_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
 
 def _dir_digest(root: Path) -> str:

@@ -1,4 +1,5 @@
 import gc
+import struct
 import weakref
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from setsum.trainer import infer
 TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
                           skip_connections=((1, 2),), seed=5)
 TINY_3D = ArchitectureConfig(input_shape=(1, 5, 5, 5), conv_blocks=((2, 3), (3, 3)),
-                             skip_connections=((1, 2),), dims=3, seed=5)
+                             skip_connections=((1, 2),), seed=5)
 
 
 def walk_parameter_count(arch: ArchitectureConfig) -> int:
@@ -60,6 +61,11 @@ class TestBuild:
         # 8*1*9 + 16*8*9 + 24*24*9 + 32*24*9 + 32 by hand
         assert build_base_regressor(ArchitectureConfig((1, 16, 16))).parameter_count == 13352
 
+    def test_dims_follow_input_shape(self):
+        assert TINY.dims == 2 and TINY_3D.dims == 3
+        with pytest.raises(ValueError, match="2 or 3 spatial extents"):
+            ArchitectureConfig(input_shape=(1, 8))
+
     def test_inconsistent_skip_rejected(self):
         # the even kernel in block 2 grows the extent, so block 1's output no
         # longer matches block 3's input
@@ -76,7 +82,7 @@ class TestBuild:
 
     def test_3d_architecture_builds_and_runs(self):
         cfg = ArchitectureConfig(input_shape=(1, 6, 6, 6), conv_blocks=((2, 3), (3, 3)),
-                                 skip_connections=(), dims=3, seed=1)
+                                 skip_connections=(), seed=1)
         model = build_base_regressor(cfg)
         img = np.random.default_rng(0).uniform(size=(1, 6, 6, 6))
         assert np.isfinite(predict(model, img))
@@ -299,6 +305,32 @@ class TestSerialization:
         back = load_model(tmp_path / "m.ssrm")
         img = np.random.default_rng(9).uniform(size=(1, 8, 8))
         assert predict(model, img) == predict(back, img)
+
+    def test_file_with_dims_line_loads(self, tmp_path):
+        # files written before ``dims`` became derived carry a ``dims=`` line
+        model = build_base_regressor(TINY_3D)
+        path = tmp_path / "m.ssrm"
+        save_model(model, path)
+        blob = path.read_bytes()
+        (text_len,) = struct.unpack("<I", blob[5:9])
+        text = blob[9:9 + text_len].replace(b"dropout_rate=", b"dims=3\ndropout_rate=")
+        path.write_bytes(blob[:5] + struct.pack("<I", len(text)) + text
+                         + blob[9 + text_len:])
+        back = load_model(path)
+        assert back.architecture == TINY_3D and back.architecture.dims == 3
+        for name in model.parameters:
+            assert np.array_equal(back.parameters[name].data, model.parameters[name].data)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.ssrm"
+        save_model(build_base_regressor(TINY), path)
+        before = path.read_bytes()
+        broken = build_base_regressor(replace(TINY, seed=6))
+        broken.parameters["fc.weight"].data = None  # fails after the conv kernels
+        with pytest.raises(AttributeError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ssrm"]
 
     def test_bad_magic_named(self, tmp_path):
         path = tmp_path / "m.ssrm"

@@ -190,11 +190,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="no val records"):
             train(fresh_model(), only_train, cfg, np.random.default_rng(0))
 
-    def test_history_seconds_are_reserved_zero(self, dataset):
-        cfg = TrainConfig(epochs=3, method="setsum", n=4, batch_size=4)
-        _, hist = train(fresh_model(), dataset, cfg, np.random.default_rng(19))
-        assert hist.seconds == [0.0, 0.0, 0.0]
-
 
 class TestInfer:
     def test_matches_black_padded_branches(self, dataset):
@@ -284,7 +279,7 @@ class TestLearningCurve:
         write_aggregate_csv(tmp_path / "agg.csv", points)
         job_lines = (tmp_path / "jobs.csv").read_text().strip().splitlines()
         agg_lines = (tmp_path / "agg.csv").read_text().strip().splitlines()
-        assert job_lines[0] == "size,method,seed,test_mse,test_icc,train_seconds"
+        assert job_lines[0] == "size,method,seed,test_mse,test_icc"
         assert agg_lines[0] == "size,method,mean_mse,std_mse,mean_icc,std_icc"
         assert len(job_lines) == 1 + 12
         assert len(agg_lines) == 1 + 4
