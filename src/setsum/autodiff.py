@@ -14,7 +14,9 @@ connected layers, inverted dropout, splitting a batch into its rows, and the
 elementwise arithmetic used to assemble scalar losses.  The network
 primitives take a leading batch axis, (batch, channels, *spatial), so one
 graph carries a whole set of images: a conv layer is one GEMM call for the
-batch, pooling and the fully connected layer act row by row.  Everything is
+batch, pooling and the fully connected layer act row by row.  One im2col
+routine does every conv GEMM: the forward pass, and the input gradient as
+the same correlation applied to the output gradient.  Everything is
 float64 and single-threaded per graph; identical inputs give bit-identical
 forward and backward results.
 """
@@ -160,8 +162,11 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     ``kernel`` has layout (out_channels, in_channels, *spatial); the stride
     is 1 and output extents are in + 2*padding - k + 1 per spatial dimension.
     The whole batch is one GEMM call over a (batch, in_channels * taps,
-    positions) im2col stack.  There is no bias: a zero input gives a zero
-    output.
+    positions) im2col stack; the kernel gradient reuses that stack.  The
+    input gradient is the same routine applied to the output gradient with
+    the flipped, channel-swapped kernel and a pad of k - 1 - padding per
+    axis, which covers exactly the input positions.  There is no bias: a
+    zero input gives a zero output.
     """
     d = kernel.ndim - 2
     if d not in (2, 3):
@@ -182,60 +187,46 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
             raise ValueError(f"conv: spatial dimension {i} has padded extent {padded} "
                              f"smaller than kernel extent {kext[i]}")
 
-    batch, c_in = x.shape[:2]
-    c_out = kernel.shape[0]
-    if padding:
-        xp = np.zeros((batch, c_in) + tuple(e + 2 * padding for e in in_ext))
-        xp[(slice(None), slice(None)) + tuple(slice(padding, padding + e) for e in in_ext)] = x.data
-    else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, kext, axis=tuple(range(2, d + 2)))
-    out_ext = win.shape[2:d + 2]
-    col = _im2col(win, d)
-    w_mat = kernel.data.reshape(c_out, -1)
-    out = _result(np.matmul(w_mat, col).reshape((batch, c_out) + out_ext), "conv", (x, kernel))
+    out_data, col = _correlate(x.data, kernel.data, (padding,) * d)
+    out = _result(out_data, "conv", (x, kernel))
     if out.requires_grad:
         def _bw(g):
-            g_mat = g.reshape(batch, c_out, -1)
             if kernel.requires_grad:
+                g_mat = g.reshape(g.shape[0], g.shape[1], -1)
                 kernel.grad += np.matmul(g_mat, col.transpose(0, 2, 1)).sum(axis=0) \
                     .reshape(kernel.shape)
             if x.requires_grad:
-                x.grad += _conv_input_grad(g, kernel.data, in_ext, padding)
+                flipped = np.flip(kernel.data, axis=tuple(range(2, d + 2))).swapaxes(0, 1)
+                x.grad += _correlate(g, flipped, tuple(k - 1 - padding for k in kext))[0]
         out._backward = _bw
     return out
 
 
-def _im2col(win: np.ndarray, d: int) -> np.ndarray:
-    """(batch, channels * taps, positions) GEMM columns of a (batch, channels,
-    *positions, *taps) window view."""
-    perm = (0, 1) + tuple(range(d + 2, 2 * d + 2)) + tuple(range(2, d + 2))
-    positions = int(np.prod(win.shape[2:d + 2]))
-    return win.transpose(perm).reshape(win.shape[0], -1, positions)
+def _correlate(a: np.ndarray, w: np.ndarray,
+               pads: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 cross-correlation of every item of ``a`` (batch, c_in, *spatial)
+    with ``w`` (c_out, c_in, *taps) as one GEMM.
 
-
-def _conv_input_grad(g: np.ndarray, kernel: np.ndarray, in_ext: tuple[int, ...],
-                     padding: int) -> np.ndarray:
-    """Gradient w.r.t. the unpadded input of a stride-1 cross-correlation.
-
-    This is the full correlation of the output gradient with the spatially
-    flipped kernel, done as one GEMM over only the windows that land on
-    input positions: the padding border's gradient is never computed.
+    Spatial axis i of ``a`` is first widened by ``pads[i]`` zeros per side; a
+    negative pad trims that many positions per side instead.  Returns the
+    (batch, c_out, *positions) output and its (batch, c_in * taps, positions)
+    im2col columns.
     """
-    batch, c_out = g.shape[:2]
-    c_in = kernel.shape[1]
-    d = kernel.ndim - 2
-    kext = kernel.shape[2:]
-    out_ext = g.shape[2:]
-    gpad = np.zeros((batch, c_out) + tuple(out_ext[i] + 2 * (kext[i] - 1) for i in range(d)))
-    gpad[(slice(None), slice(None)) + tuple(slice(kext[i] - 1, kext[i] - 1 + out_ext[i])
-                                            for i in range(d))] = g
-    win = np.lib.stride_tricks.sliding_window_view(gpad, kext, axis=tuple(range(2, d + 2)))
-    # full-correlation position p + padding is input position p
-    win = win[(slice(None), slice(None)) + tuple(slice(padding, padding + e) for e in in_ext)]
-    flipped = np.flip(kernel, axis=tuple(range(2, 2 + d)))
-    w_mat = flipped.transpose((1, 0) + tuple(range(2, 2 + d))).reshape(c_in, -1)
-    return np.matmul(w_mat, _im2col(win, d)).reshape((batch, c_in) + in_ext)
+    d = w.ndim - 2
+    if min(pads) < 0:
+        a = a[(...,) + tuple(slice(-p, e + p) if p < 0 else slice(None)
+                             for p, e in zip(pads, a.shape[2:]))]
+    if max(pads) > 0:
+        grow = [max(p, 0) for p in pads]
+        wide = np.zeros(a.shape[:2] + tuple(e + 2 * p for e, p in zip(a.shape[2:], grow)))
+        wide[(...,) + tuple(slice(p, p + e) for p, e in zip(grow, a.shape[2:]))] = a
+        a = wide
+    win = np.lib.stride_tricks.sliding_window_view(a, w.shape[2:], axis=tuple(range(2, d + 2)))
+    out_ext = win.shape[2:d + 2]
+    perm = (0, 1) + tuple(range(d + 2, 2 * d + 2)) + tuple(range(2, d + 2))
+    col = win.transpose(perm).reshape(a.shape[0], -1, int(np.prod(out_ext)))
+    out = np.matmul(w.reshape(w.shape[0], -1), col)
+    return out.reshape(out.shape[:2] + out_ext), col
 
 
 def relu(x: Tensor) -> Tensor:

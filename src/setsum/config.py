@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .augment import AugmentationConfig
-from .data import SyntheticConfig
-from .regressor import ArchitectureConfig
+from .data import LABEL_KINDS, SyntheticConfig
+from .regressor import LOSS_KINDS, ArchitectureConfig
 from .trainer import METHODS, TrainConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "parse_config_file", "config_text"]
@@ -250,8 +250,8 @@ def parse_config_file(path, seed_override: int | None = None) -> RunConfig:
 
 
 def _validate(values: dict) -> None:
-    if values["data.label_kind"] not in ("count", "volume"):
-        raise ConfigError(f"data.label_kind must be count or volume, "
+    if values["data.label_kind"] not in LABEL_KINDS:
+        raise ConfigError(f"data.label_kind must be one of {LABEL_KINDS}, "
                           f"got {values['data.label_kind']!r}")
     if values["train.method"] not in METHODS:
         raise ConfigError(f"train.method must be one of {METHODS}, "
@@ -259,8 +259,8 @@ def _validate(values: dict) -> None:
     for method in values["curve.methods"]:
         if method not in METHODS:
             raise ConfigError(f"curve.methods contains unknown method {method!r}")
-    if values["train.loss"] not in ("mse", "mae"):
-        raise ConfigError(f"train.loss must be mse or mae, got {values['train.loss']!r}")
+    if values["train.loss"] not in LOSS_KINDS:
+        raise ConfigError(f"train.loss must be one of {LOSS_KINDS}, got {values['train.loss']!r}")
     dims = values["data.dims"]
     if len(values["data.image_extent"]) != dims:
         raise ConfigError(f"data.image_extent {values['data.image_extent']} does not "

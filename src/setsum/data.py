@@ -12,7 +12,8 @@ File formats:
 * tensor file: magic ``SSTF1``, u8 dimension count, little-endian u32
   extents, then the row-major float64 payload (little-endian).
 * manifest: UTF-8 CSV with header ``path,count_label,volume_label,split``;
-  paths are relative to the manifest's directory and must stay inside it.
+  paths are relative to the manifest's directory and must stay inside it,
+  and each file appears once, however its path is spelled.
 * CSV artifacts: written by :func:`write_csv`, which, like the model file,
   replaces its target atomically (:func:`write_atomic`).
 """
@@ -53,6 +54,7 @@ __all__ = [
 TENSOR_MAGIC = b"SSTF1"
 MANIFEST_HEADER = ["path", "count_label", "volume_label", "split"]
 SPLITS = ("train", "val", "test")
+LABEL_KINDS = ("count", "volume")
 
 
 class TensorFormatError(ValueError):
@@ -301,8 +303,8 @@ class DatasetManifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
-        if self.label_kind not in ("count", "volume"):
-            raise ValueError(f"label_kind must be count or volume, got {self.label_kind!r}")
+        if self.label_kind not in LABEL_KINDS:
+            raise ValueError(f"label_kind must be one of {LABEL_KINDS}, got {self.label_kind!r}")
         self.base_dir = Path(self.base_dir)
 
     def split_records(self, split: str) -> list[ImageRecord]:
@@ -330,12 +332,13 @@ def read_manifest(path, label_kind: str = "count") -> DatasetManifest:
         if len(row) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         rec_path, count_s, volume_s, split = row
-        if os.path.isabs(rec_path) or os.path.normpath(rec_path).split(os.sep)[0] == "..":
+        norm = os.path.normpath(rec_path)
+        if os.path.isabs(rec_path) or norm.split(os.sep)[0] == "..":
             raise ValueError(f"{path}:{lineno}: path {rec_path!r} leaves the manifest's "
                              f"directory")
-        if rec_path in seen:
+        if norm in seen:
             raise ValueError(f"{path}:{lineno}: duplicate path {rec_path!r}")
-        seen.add(rec_path)
+        seen.add(norm)
         if split not in SPLITS:
             raise ValueError(f"{path}:{lineno}: unknown split {split!r}")
         try:

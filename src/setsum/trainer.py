@@ -34,8 +34,7 @@ import numpy as np
 from .augment import AugmentationConfig, make_epoch_sets, mixup_pair, random_geometric_augment
 from .autodiff import backpropagate
 from .data import DatasetManifest, load_split, write_csv
-from .metrics import icc as _icc
-from .metrics import mse as _mse
+from .metrics import evaluate_pairs
 from .optim import AdadeltaState, adadelta_step
 from .regressor import (ArchitectureConfig, RegressorModel, build_base_regressor,
                         hydra_loss, predict)
@@ -298,10 +297,9 @@ def _run_curve_job(job: _CurveJob) -> CurveJobResult:
     model, _ = train(model, manifest, job.config, np.random.default_rng(list(job.rng_key)))
     predictions = infer(model, manifest, "test")
     truths = [manifest.label_of(r) for r in manifest.split_records("test")]
-    test_mse = _mse(truths, predictions)
-    test_icc = _icc(truths, predictions) if len(truths) >= 3 else None
-    return CurveJobResult(len(job.train_indices), job.config.method, job.rep, test_mse,
-                          test_icc)
+    report = evaluate_pairs(truths, predictions)
+    return CurveJobResult(len(job.train_indices), job.config.method, job.rep, report.mse,
+                          report.icc)
 
 
 def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
@@ -325,6 +323,8 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
     pool = manifest.split_records("train")
     pool_labels = [manifest.label_of(r) for r in pool]
     for size in sizes:
+        if size < 1:
+            raise ValueError(f"learning-curve size {size} must be at least 1")
         if size > len(pool):
             raise ValueError(f"learning-curve size {size} exceeds training pool "
                              f"of {len(pool)}")

@@ -80,17 +80,21 @@ class TestBatch:
         with pytest.raises(ValueError, match="batch sizes differ"):
             concat_channels(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((3, 1, 4, 4))))
 
-    @pytest.mark.parametrize("spatial,k", [((5, 6), 3), ((6, 5), 5), ((4, 3, 4), 3)],
-                             ids=["2d-k3", "2d-k5", "3d-k3"])
-    def test_input_gradient_matches_finite_differences(self, spatial, k):
-        # every padding up to k - 1, and padding k, where no input
-        # position's window reaches into the output gradient's zero border
-        rng = np.random.default_rng(22 + k)
-        kernel = Tensor(rng.normal(size=(3, 2) + (k,) * len(spatial)))
+    @pytest.mark.parametrize("spatial,kext", [((5, 6), (3, 3)), ((6, 5), (5, 5)),
+                                              ((4, 3, 4), (3, 3, 3)), ((5, 6), (3, 5)),
+                                              ((5, 6), (2, 2))],
+                             ids=["2d-k3", "2d-k5", "3d-k3", "2d-k3x5", "2d-k2"])
+    def test_input_gradient_matches_finite_differences(self, spatial, kext):
+        # every padding up to the largest kernel extent: the backward pad
+        # k_i - 1 - padding then differs between axes and goes negative, and
+        # at padding max(kext) no input position's window reaches into the
+        # output gradient's zero border
+        rng = np.random.default_rng(22 + max(kext))
+        kernel = Tensor(rng.normal(size=(3, 2) + kext))
         w = Tensor(rng.normal(size=(1, 3)))
-        for padding in range(k + 1):
+        for padding in range(max(kext) + 1):
             x = parameter(rng.normal(size=(2, 2) + spatial), "x")
-            out_ext = tuple(e + 2 * padding - k + 1 for e in spatial)
+            out_ext = tuple(e + 2 * padding - k + 1 for e, k in zip(spatial, kext))
             weight = Tensor(rng.normal(size=(2, 3) + out_ext))
 
             def loss_node():

@@ -71,6 +71,14 @@ class TestParsing:
             parse_config_text("output_dir=o\ndata.image_extent=8,8\n"
                               "train.n=4\ntrain.batch_size=2\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("data.label_kind=area", r"data.label_kind must be one of \('count', 'volume'\)"),
+        ("train.loss=huber", r"train.loss must be one of \('mse', 'mae'\)")],
+        ids=["label_kind", "loss"])
+    def test_unknown_kind_names_allowed_values(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"output_dir=o\ndata.image_extent=8,8\n{line}\n")
+
     def test_seed_override(self, tmp_path):
         config = parse_config_file(write_config(tmp_path), seed_override=99)
         assert config.seed == 99

@@ -170,11 +170,12 @@ class TestManifest:
         assert back.records == records
         assert back.label_of(records[0]) == 40.0
 
-    def test_duplicate_path_rejected(self, tmp_path):
+    @pytest.mark.parametrize("second", ["a.sstf", "./a.sstf", "sub/../a.sstf"])
+    def test_duplicate_path_rejected(self, tmp_path, second):
         path = tmp_path / "m.csv"
         path.write_text("path,count_label,volume_label,split\n"
-                        "a.sstf,1,1,train\na.sstf,2,2,test\n")
-        with pytest.raises(ValueError, match="duplicate"):
+                        f"a.sstf,1,1,train\n{second},2,2,test\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: duplicate path"):
             read_manifest(path)
 
     def test_bad_split_rejected(self, tmp_path):

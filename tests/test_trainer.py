@@ -295,10 +295,12 @@ class TestLearningCurve:
                                            arch=TINY_ARCH, config=cfg, master_seed=3)
         assert first[0] == second[0]
 
-    def test_oversized_size_rejected(self, dataset):
+    @pytest.mark.parametrize("size, message", [(13, "size 13 exceeds training pool"),
+                                               (0, "size 0 must be at least 1")], ids=["13", "0"])
+    def test_oversized_size_rejected(self, dataset, size, message):
         cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
-        with pytest.raises(ValueError, match="exceeds training pool"):
-            learning_curve_experiment(dataset, [13], ["baseline"], 1,
+        with pytest.raises(ValueError, match=message):
+            learning_curve_experiment(dataset, [size], ["baseline"], 1,
                                       arch=TINY_ARCH, config=cfg, master_seed=0)
 
     @pytest.mark.parametrize("sizes, methods", [([4, 4], ["setsum"]),
