@@ -16,14 +16,19 @@ primitives take a leading batch axis, (batch, channels, *spatial), so one
 graph carries a whole set of images: a conv layer is one GEMM call for the
 batch, pooling and the fully connected layer act row by row.  One im2col
 routine does every conv GEMM: the forward pass, and the input gradient as
-the same correlation applied to the output gradient.  Everything is
+the same correlation applied to the output gradient.  Its windows are one
+read-only strided view of the padded input, already in column order, so one
+reshape gives the GEMM's columns.  Everything is
 float64 and single-threaded per graph; identical inputs give bit-identical
 forward and backward results.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -208,11 +213,13 @@ def _correlate(a: np.ndarray, w: np.ndarray,
     with ``w`` (c_out, c_in, *taps) as one GEMM.
 
     Spatial axis i of ``a`` is first widened by ``pads[i]`` zeros per side; a
-    negative pad trims that many positions per side instead.  Returns the
-    (batch, c_out, *positions) output and its (batch, c_in * taps, positions)
-    im2col columns.
+    negative pad trims that many positions per side instead.  The windows are
+    one read-only strided view of that input, already in column order
+    (batch, c_in, *taps, *positions): tap and position offsets both step by
+    the input's spatial strides, so the windows overlap and the view must
+    never be written.  Returns the (batch, c_out, *positions) output and its
+    (batch, c_in * taps, positions) im2col columns.
     """
-    d = w.ndim - 2
     if min(pads) < 0:
         a = a[(...,) + tuple(slice(-p, e + p) if p < 0 else slice(None)
                              for p, e in zip(pads, a.shape[2:]))]
@@ -221,10 +228,11 @@ def _correlate(a: np.ndarray, w: np.ndarray,
         wide = np.zeros(a.shape[:2] + tuple(e + 2 * p for e, p in zip(a.shape[2:], grow)))
         wide[(...,) + tuple(slice(p, p + e) for p, e in zip(grow, a.shape[2:]))] = a
         a = wide
-    win = np.lib.stride_tricks.sliding_window_view(a, w.shape[2:], axis=tuple(range(2, d + 2)))
-    out_ext = win.shape[2:d + 2]
-    perm = (0, 1) + tuple(range(d + 2, 2 * d + 2)) + tuple(range(2, d + 2))
-    col = win.transpose(perm).reshape(a.shape[0], -1, int(np.prod(out_ext)))
+    taps = w.shape[2:]
+    out_ext = tuple(e - k + 1 for e, k in zip(a.shape[2:], taps))
+    win = as_strided(a, a.shape[:2] + taps + out_ext, a.strides + a.strides[2:],
+                     writeable=False)
+    col = win.reshape(a.shape[0], -1, math.prod(out_ext))
     out = np.matmul(w.reshape(w.shape[0], -1), col)
     return out.reshape(out.shape[:2] + out_ext), col
 

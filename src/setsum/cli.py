@@ -53,7 +53,7 @@ def _parse_args(argv):
     sub.choices["eval"].add_argument("--model", default=None,
                                      help="model file (default: <output_dir>/train/model.ssrm)")
     sub.choices["curve"].add_argument("--jobs", type=int, default=1,
-                                      help="parallel worker processes (default 1)")
+                                      help="parallel worker processes, at least 1 (default 1)")
     return parser.parse_args(argv)
 
 
@@ -166,7 +166,7 @@ def cmd_curve(config: RunConfig, args) -> int:
     results, points = learning_curve_experiment(
         manifest, sizes, methods, config.values["curve.num_seeds"],
         arch=arch, config=base, master_seed=config.seed,
-        jobs=max(1, args.jobs))
+        jobs=args.jobs)
     elapsed = time.perf_counter() - started
     out_dir = Path(config.output_dir) / "curve"
     out_dir.mkdir(parents=True, exist_ok=True)

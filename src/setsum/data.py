@@ -250,15 +250,19 @@ def read_tensor(path) -> np.ndarray:
 def write_atomic(path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step.
 
-    The bytes go to a temporary file in the same directory, which is then
-    renamed over ``path``; on any failure the temporary file is removed and
-    ``path`` keeps its previous content.
+    The bytes go to a temporary file in the same directory and are synced to
+    disk before that file is renamed over ``path``, so a crash leaves either
+    the old content or the complete new one, never a renamed empty file; on
+    any failure the temporary file is removed and ``path`` keeps its
+    previous content.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

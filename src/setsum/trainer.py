@@ -315,9 +315,12 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
     a fixed split).  Jobs may run in parallel, on at most ``jobs`` workers
     and never more workers than jobs or CPUs; results are identical and in
     identical order regardless of ``jobs``.  Repeated sizes or methods are
-    rejected: each (size, method) cell must own its seeds.
+    rejected, since each (size, method) cell must own its seeds, and so are
+    an empty list of sizes or methods and ``jobs`` below 1.
     """
     for name, values in (("sizes", sizes), ("methods", methods)):
+        if not values:
+            raise ValueError(f"learning-curve {name} must not be empty")
         if len(set(values)) != len(values):
             raise ValueError(f"learning-curve {name} must not repeat, got {list(values)}")
     pool = manifest.split_records("train")
@@ -330,6 +333,8 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
                              f"of {len(pool)}")
     if num_seeds < 1:
         raise ValueError("num_seeds must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     job_list = []
     for size in sizes:
         indices = stratified_subsample(pool_labels, size,

@@ -52,8 +52,7 @@ class TestBatch:
     """Every primitive applied to a batch equals the oracle applied item by item."""
 
     @pytest.mark.parametrize("spatial", [(6, 7), (5, 6, 5)], ids=["2d", "3d"])
-    @pytest.mark.parametrize("k", [3, 5])
-    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("padding, k", [(p, k) for k in (1, 2, 3, 5) for p in range(k + 1)])
     def test_conv_per_item(self, spatial, k, padding):
         rng = np.random.default_rng(20 + k + padding)
         x = rng.normal(size=(3, 2) + spatial)

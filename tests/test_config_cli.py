@@ -275,13 +275,27 @@ class TestCli:
 
     @pytest.mark.parametrize("key, repeated", [("curve.sizes=4,6", "curve.sizes=4,4"),
                                                ("curve.methods=setsum,baseline",
-                                                "curve.methods=setsum,setsum")])
+                                                "curve.methods=setsum,setsum"),
+                                               ("curve.sizes=4,6", "curve.sizes="),
+                                               ("curve.methods=setsum,baseline",
+                                                "curve.methods=")])
     def test_curve_repeated_grid_values_exit_2(self, tmp_path, capsys, key, repeated):
+        # a repeated value, or no value at all
         cfg = write_config(tmp_path)
         assert main(["generate", str(cfg)]) == 0
         cfg.write_text(cfg.read_text().replace(key, repeated))
         assert main(["curve", str(cfg)]) == 2
-        assert "must not repeat" in capsys.readouterr().err
+        name = key.split("=")[0].split(".")[1]
+        problem = "must not be empty" if repeated.endswith("=") else "must not repeat"
+        assert f"learning-curve {name} {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "curve").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_curve_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["curve", str(cfg), "--jobs", jobs]) == 2
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "curve").exists()
 
     def test_seed_override_changes_outputs(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,26 @@ class TestAtomicWrites:
             write_atomic(path, b"new")
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_data_synced_before_rename(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr("setsum.data.os.fsync", fsync)
+        monkeypatch.setattr("setsum.data.os.replace", replace)
+        path = tmp_path / "a.bin"
+        write_atomic(path, b"new")
+        inode = path.stat().st_ino
+        assert calls == [("fsync", inode), ("replace", inode)]
+        assert path.read_bytes() == b"new"
 
 
 def _dir_digest(root: Path) -> str:

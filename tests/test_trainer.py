@@ -311,6 +311,12 @@ class TestLearningCurve:
             learning_curve_experiment(dataset, sizes, methods, 2,
                                       arch=TINY_ARCH, config=cfg, master_seed=0)
 
+    def test_jobs_below_one_rejected(self, dataset):
+        cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+            learning_curve_experiment(dataset, [4], ["baseline"], 1, arch=TINY_ARCH,
+                                      config=cfg, master_seed=0, jobs=0)
+
     def test_unknown_method_rejected_before_any_job(self, dataset, monkeypatch):
         created = serial_pool(monkeypatch)
         cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
