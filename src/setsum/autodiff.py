@@ -13,14 +13,17 @@ cross-correlation, ReLU, channel concatenation, global average pooling, fully
 connected layers, inverted dropout, splitting a batch into its rows, and the
 elementwise arithmetic used to assemble scalar losses.  The network
 primitives take a leading batch axis, (batch, channels, *spatial), so one
-graph carries a whole set of images: a conv layer is one GEMM call for the
-batch, pooling and the fully connected layer act row by row.  One im2col
-routine does every conv GEMM: the forward pass, and the input gradient as
-the same correlation applied to the output gradient.  Its windows are one
-read-only strided view of the padded input, already in column order, so one
-reshape gives the GEMM's columns.  Everything is
-float64 and single-threaded per graph; identical inputs give bit-identical
-forward and backward results.
+graph carries a whole set of images; pooling and the fully connected layer
+act row by row.  One im2col routine does every conv GEMM: the forward pass,
+and the input gradient as the same correlation applied to the output
+gradient.  It copies a read-only strided window view of the padded input
+into columns in blocks of at most ``_BLOCK_BYTES`` per image, one GEMM per
+block.  A conv node keeps its columns for the kernel gradient only when they
+are one block (every conv of the default model at 16x16); otherwise it keeps
+the window view, 27 times smaller for a 3x3x3 kernel, and rebuilds the
+blocks.  The budget is a constant, so no result depends on the machine's
+caches or the batch size.  Everything is float64 and single-threaded per
+graph; identical inputs give bit-identical forward and backward results.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 _Scalar = (int, float, np.integer, np.floating)
+
+# Most bytes of im2col columns per image in one conv GEMM, sized to a 2 MiB L2.
+_BLOCK_BYTES = 1 << 20
 
 
 class Tensor:
@@ -166,8 +172,9 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
 
     ``kernel`` has layout (out_channels, in_channels, *spatial); the stride
     is 1 and output extents are in + 2*padding - k + 1 per spatial dimension.
-    The whole batch is one GEMM call over a (batch, in_channels * taps,
-    positions) im2col stack; the kernel gradient reuses that stack.  The
+    The whole batch goes through :func:`_correlate`.  The node keeps the im2col
+    columns when they are one block, else only the padded input's window
+    view, and the kernel gradient sums one GEMM per block of them.  The
     input gradient is the same routine applied to the output gradient with
     the flipped, channel-swapped kernel and a pad of k - 1 - padding per
     axis, which covers exactly the input positions.  There is no bias: a
@@ -192,14 +199,17 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
             raise ValueError(f"conv: spatial dimension {i} has padded extent {padded} "
                              f"smaller than kernel extent {kext[i]}")
 
-    out_data, col = _correlate(x.data, kernel.data, (padding,) * d)
+    out_data, kept = _correlate(x.data, kernel.data, (padding,) * d)
     out = _result(out_data, "conv", (x, kernel))
     if out.requires_grad:
         def _bw(g):
             if kernel.requires_grad:
                 g_mat = g.reshape(g.shape[0], g.shape[1], -1)
-                kernel.grad += np.matmul(g_mat, col.transpose(0, 2, 1)).sum(axis=0) \
-                    .reshape(kernel.shape)
+                # kept: (batch, c_in * taps, positions) columns, or the window view
+                blocks = [(slice(None), kept)] if kept.ndim == 3 else _column_blocks(kept)
+                for pos, col in blocks:
+                    kernel.grad += np.matmul(g_mat[..., pos], col.transpose(0, 2, 1)) \
+                        .sum(axis=0).reshape(kernel.shape)
             if x.requires_grad:
                 flipped = np.flip(kernel.data, axis=tuple(range(2, d + 2))).swapaxes(0, 1)
                 x.grad += _correlate(g, flipped, tuple(k - 1 - padding for k in kext))[0]
@@ -210,15 +220,16 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
 def _correlate(a: np.ndarray, w: np.ndarray,
                pads: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Stride-1 cross-correlation of every item of ``a`` (batch, c_in, *spatial)
-    with ``w`` (c_out, c_in, *taps) as one GEMM.
+    with ``w`` (c_out, c_in, *taps), one GEMM per block of im2col columns.
 
     Spatial axis i of ``a`` is first widened by ``pads[i]`` zeros per side; a
     negative pad trims that many positions per side instead.  The windows are
     one read-only strided view of that input, already in column order
     (batch, c_in, *taps, *positions): tap and position offsets both step by
     the input's spatial strides, so the windows overlap and the view must
-    never be written.  Returns the (batch, c_out, *positions) output and its
-    (batch, c_in * taps, positions) im2col columns.
+    never be written.  Returns the (batch, c_out, *positions) output and the
+    (batch, c_in * taps, positions) columns when they fit one block, else the
+    output, built one GEMM per block, and the window view.
     """
     if min(pads) < 0:
         a = a[(...,) + tuple(slice(-p, e + p) if p < 0 else slice(None)
@@ -232,9 +243,28 @@ def _correlate(a: np.ndarray, w: np.ndarray,
     out_ext = tuple(e - k + 1 for e, k in zip(a.shape[2:], taps))
     win = as_strided(a, a.shape[:2] + taps + out_ext, a.strides + a.strides[2:],
                      writeable=False)
-    col = win.reshape(a.shape[0], -1, math.prod(out_ext))
-    out = np.matmul(w.reshape(w.shape[0], -1), col)
-    return out.reshape(out.shape[:2] + out_ext), col
+    w_mat = w.reshape(w.shape[0], -1)
+    if 8 * win.size <= _BLOCK_BYTES * a.shape[0]:
+        col = win.reshape(a.shape[0], -1, math.prod(out_ext))
+        out = np.matmul(w_mat, col)
+        return out.reshape(out.shape[:2] + out_ext), col
+    out = np.empty((a.shape[0], w.shape[0], math.prod(out_ext)))
+    for pos, col in _column_blocks(win):
+        np.matmul(w_mat, col, out=out[..., pos])
+    return out.reshape(out.shape[:2] + out_ext), win
+
+
+def _column_blocks(win: np.ndarray):
+    """Yield (flat output positions, (batch, c_in * taps, positions) columns)
+    per block of the window view ``win``: as many whole rows of the first
+    output axis as fit ``_BLOCK_BYTES`` of columns per image, at least one."""
+    d = win.ndim // 2 - 1
+    n0, rest = win.shape[2 + d], math.prod(win.shape[3 + d:])
+    step = max(1, _BLOCK_BYTES * n0 * win.shape[0] // (8 * win.size))
+    for r in range(0, n0, step):
+        block = win[(slice(None),) * (2 + d) + (slice(r, r + step),)]
+        col = block.reshape(win.shape[0], -1, block.shape[2 + d] * rest)
+        yield slice(r * rest, r * rest + col.shape[2]), col
 
 
 def relu(x: Tensor) -> Tensor:

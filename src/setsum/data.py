@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -235,7 +236,7 @@ def read_tensor(path) -> np.ndarray:
     shape = struct.unpack(f"<{ndim}I", blob[6:header_end])
     if any(e == 0 for e in shape):
         raise TensorFormatError(f"{path}: zero extent in shape {shape}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     payload = blob[header_end:]
     if len(payload) != 8 * count:
         raise TensorFormatError(f"{path}: header declares {count} values "

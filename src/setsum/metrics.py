@@ -32,7 +32,7 @@ __all__ = [
     "mae",
     "icc",
     "williams_test",
-    "student_t_cdf",
+    "student_t_sf",
     "evaluate_pairs",
 ]
 
@@ -94,11 +94,13 @@ def icc(truth, prediction) -> float | None:
     return float((ms_rows - ms_err) / denom)
 
 
-def student_t_cdf(x: float, df: int) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
+def student_t_sf(x: float, df: int) -> float:
+    """Upper tail P(T > x) of Student's t distribution with ``df`` degrees of
+    freedom, computed directly rather than as 1 - CDF, which cancels to 0
+    once the CDF rounds to 1."""
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    return float(stats.t.cdf(x, df))
+    return float(stats.t.sf(x, df))
 
 
 def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, float] | None:
@@ -123,7 +125,7 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, fl
     if denom <= 0.0:
         return None
     t = (r12 - r13) * math.sqrt((n - 1) * (1.0 + r23) / denom)
-    p = 2.0 * (1.0 - student_t_cdf(abs(t), n - 3))
+    p = 2.0 * student_t_sf(abs(t), n - 3)
     return t, p
 
 

@@ -329,7 +329,7 @@ def load_model(path) -> RegressorModel:
     params: dict[str, Tensor] = {}
     offset = 0
     for name, shape, _ in _layer_plan(arch):
-        nbytes = 8 * int(np.prod(shape))
+        nbytes = 8 * math.prod(shape)
         if len(payload) < offset + nbytes:
             raise ValueError(f"{path}: truncated payload at parameter {name!r}")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8").reshape(shape)

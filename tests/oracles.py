@@ -13,21 +13,21 @@ import numpy as np
 
 
 def conv_loop(x: np.ndarray, kernel: np.ndarray, padding: int = 0) -> np.ndarray:
-    """Direct nested-loop stride-1 cross-correlation of one (channels, *spatial)
-    image, any spatial rank."""
+    """Direct stride-1 cross-correlation of one (channels, *spatial) image,
+    any spatial rank, one (output channel, input channel, kernel offset) at a
+    time: the shifted window times that kernel value is added to every output
+    position at once, so each position sums its products in the order of a
+    scalar loop over channels and then offsets."""
     d = kernel.ndim - 2
     xp = np.pad(x, [(0, 0)] + [(padding, padding)] * d)
     kext = kernel.shape[2:]
     out_ext = tuple(xp.shape[1 + i] - kext[i] + 1 for i in range(d))
     out = np.zeros((kernel.shape[0],) + out_ext)
     for o in range(kernel.shape[0]):
-        for pos in np.ndindex(*out_ext):
-            acc = 0.0
-            for c in range(x.shape[0]):
-                for off in np.ndindex(*kext):
-                    src = tuple(pos[i] + off[i] for i in range(d))
-                    acc += xp[(c,) + src] * kernel[(o, c) + off]
-            out[(o,) + pos] = acc
+        for c in range(x.shape[0]):
+            for off in np.ndindex(*kext):
+                window = xp[(c,) + tuple(slice(off[i], off[i] + out_ext[i]) for i in range(d))]
+                out[o] += window * kernel[(o, c) + off]
     return out
 
 
@@ -101,8 +101,9 @@ def williams_t_direct(r12: float, r13: float, r23: float, n: int) -> float:
     return (r12 - r13) * math.sqrt(num / den)
 
 
-def t_cdf_reference(x: float, df: int) -> float:
-    """High-precision Student-t CDF through mpmath's regularized incomplete beta."""
+def t_sf_reference(x: float, df: int) -> float:
+    """High-precision Student-t upper tail P(T > x) through mpmath's
+    regularized incomplete beta."""
     import mpmath
 
     mpmath.mp.dps = 40
@@ -110,7 +111,7 @@ def t_cdf_reference(x: float, df: int) -> float:
     dfm = mpmath.mpf(df)
     tail = mpmath.betainc(dfm / 2, mpmath.mpf(1) / 2, 0, dfm / (dfm + xm ** 2),
                           regularized=True) / 2
-    return float(1 - tail) if x >= 0 else float(tail)
+    return float(tail) if x >= 0 else float(1 - tail)
 
 
 def correlation_triple(rng: np.random.Generator, n_obs: int = 40) -> tuple[float, float, float]:

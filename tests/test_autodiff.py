@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import setsum.autodiff
 from setsum.autodiff import (Tensor, backpropagate, concat_channels, conv, dropout_apply,
                              fully_connected, global_avg_pool, parameter, relu, rows)
 
@@ -47,9 +50,26 @@ class TestConv:
         with pytest.raises(ValueError, match="spatial dimension 0"):
             conv(Tensor(np.zeros((1, 1, 2, 8))), Tensor(np.zeros((1, 1, 5, 3))))
 
+    def test_multi_block_node_keeps_no_columns(self):
+        # 24 -> 32 channels, 3x3x3 at 12^3: 8.96 MB of im2col columns, which
+        # the node must not keep; it holds its output (0.44 MB) and the
+        # padded input under its window view (0.53 MB)
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(1, 24, 12, 12, 12)))
+        kernel = parameter(rng.normal(size=(32, 24, 3, 3, 3)), "kernel")
+        tracemalloc.start()
+        try:
+            out = conv(x, kernel, padding=1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 32, 12, 12, 12)
+        assert held < 2 * 2**20, held
 
-class TestBatch:
-    """Every primitive applied to a batch equals the oracle applied item by item."""
+
+class ConvBatchChecks:
+    """Conv on a batch equals the oracle item by item, and its input and kernel
+    gradients match finite differences."""
 
     @pytest.mark.parametrize("spatial", [(6, 7), (5, 6, 5)], ids=["2d", "3d"])
     @pytest.mark.parametrize("padding, k", [(p, k) for k in (1, 2, 3, 5) for p in range(k + 1)])
@@ -61,6 +81,39 @@ class TestBatch:
         assert got.shape[0] == 3
         for b in range(3):
             npt.assert_allclose(got[b], conv_loop(x[b], kernel, padding=padding), atol=1e-12)
+
+    @pytest.mark.parametrize("spatial,kext", [((5, 6), (3, 3)), ((6, 5), (5, 5)),
+                                              ((4, 3, 4), (3, 3, 3)), ((5, 6), (3, 5)),
+                                              ((5, 6), (2, 2))],
+                             ids=["2d-k3", "2d-k5", "3d-k3", "2d-k3x5", "2d-k2"])
+    def test_input_gradient_matches_finite_differences(self, spatial, kext):
+        # input and kernel gradient at every padding up to the largest kernel
+        # extent: the backward pad k_i - 1 - padding then differs between
+        # axes and goes negative, and at padding max(kext) no input
+        # position's window reaches into the output gradient's zero border
+        rng = np.random.default_rng(22 + max(kext))
+        kernel = parameter(rng.normal(size=(3, 2) + kext), "kernel")
+        w = Tensor(rng.normal(size=(1, 3)))
+        for padding in range(max(kext) + 1):
+            x = parameter(rng.normal(size=(2, 2) + spatial), "x")
+            out_ext = tuple(e + 2 * padding - k + 1 for e, k in zip(spatial, kext))
+            weight = Tensor(rng.normal(size=(2, 3) + out_ext))
+
+            def loss_node():
+                heads = rows(fully_connected(global_avg_pool(
+                    conv(x, kernel, padding=padding) * weight), w))
+                return heads[0] + heads[1]
+
+            analytic = backpropagate(loss_node())
+            arrays = {"x": x.data, "kernel": kernel.data}
+            numeric = finite_difference(lambda: loss_node().item(), arrays)
+            for name in arrays:
+                assert relative_error(analytic[name], numeric[name]).max() < 1e-6, \
+                    (name, padding)
+
+
+class TestBatch(ConvBatchChecks):
+    """Every primitive applied to a batch equals the oracle applied item by item."""
 
     def test_concat_pool_fc_per_item(self):
         rng = np.random.default_rng(21)
@@ -79,38 +132,22 @@ class TestBatch:
         with pytest.raises(ValueError, match="batch sizes differ"):
             concat_channels(Tensor(np.zeros((2, 1, 4, 4))), Tensor(np.zeros((3, 1, 4, 4))))
 
-    @pytest.mark.parametrize("spatial,kext", [((5, 6), (3, 3)), ((6, 5), (5, 5)),
-                                              ((4, 3, 4), (3, 3, 3)), ((5, 6), (3, 5)),
-                                              ((5, 6), (2, 2))],
-                             ids=["2d-k3", "2d-k5", "3d-k3", "2d-k3x5", "2d-k2"])
-    def test_input_gradient_matches_finite_differences(self, spatial, kext):
-        # every padding up to the largest kernel extent: the backward pad
-        # k_i - 1 - padding then differs between axes and goes negative, and
-        # at padding max(kext) no input position's window reaches into the
-        # output gradient's zero border
-        rng = np.random.default_rng(22 + max(kext))
-        kernel = Tensor(rng.normal(size=(3, 2) + kext))
-        w = Tensor(rng.normal(size=(1, 3)))
-        for padding in range(max(kext) + 1):
-            x = parameter(rng.normal(size=(2, 2) + spatial), "x")
-            out_ext = tuple(e + 2 * padding - k + 1 for e, k in zip(spatial, kext))
-            weight = Tensor(rng.normal(size=(2, 3) + out_ext))
-
-            def loss_node():
-                heads = rows(fully_connected(global_avg_pool(
-                    conv(x, kernel, padding=padding) * weight), w))
-                return heads[0] + heads[1]
-
-            analytic = backpropagate(loss_node())["x"]
-            numeric = finite_difference(lambda: loss_node().item(), {"x": x.data})["x"]
-            assert relative_error(analytic, numeric).max() < 1e-6, padding
-
     def test_rows_route_gradients(self):
         x = parameter(np.arange(3.0).reshape(3, 1), "x")
         items = rows(x)
         assert [item.data.tolist() for item in items] == [[0.0], [1.0], [2.0]]
         grads = backpropagate(items[0] + items[2] * 2.0)
         npt.assert_array_equal(grads["x"], [[1.0], [0.0], [2.0]])
+
+
+class TestConvInOneRowBlocks(ConvBatchChecks):
+    """ConvBatchChecks with a one-byte column budget, so every conv builds its
+    im2col columns, and rebuilds them for the kernel gradient, one output row
+    at a time."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(setsum.autodiff, "_BLOCK_BYTES", 1)
 
 
 class TestRelu:

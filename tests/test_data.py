@@ -160,6 +160,14 @@ class TestTensorFile:
         with pytest.raises(TensorFormatError, match="truncated"):
             read_tensor(path)
 
+    def test_value_count_does_not_wrap(self, tmp_path):
+        # four extents of 65536 declare 2^64 values, which a 64-bit product
+        # wraps to 0, matching an empty payload
+        path = tmp_path / "t.sstf"
+        path.write_bytes(b"SSTF1\x04" + (65536).to_bytes(4, "little") * 4)
+        with pytest.raises(TensorFormatError, match="declares 18446744073709551616"):
+            read_tensor(path)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):

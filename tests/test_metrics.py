@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsum.metrics import (MetricsReport, evaluate_pairs, icc, mae, mse, student_t_cdf,
+from setsum.metrics import (MetricsReport, evaluate_pairs, icc, mae, mse, student_t_sf,
                             williams_test)
 
-from oracles import correlation_triple, icc_two_way_table, t_cdf_reference, williams_t_direct
+from oracles import correlation_triple, icc_two_way_table, t_sf_reference, williams_t_direct
 
 
 class TestErrors:
@@ -121,6 +121,12 @@ class TestWilliams:
         assert t == pytest.approx(williams_t_direct(0.8, 0.6, 0.5, 50), abs=1e-10)
         assert 0.0 < p < 1.0
 
+    def test_p_value_exact_at_large_t(self):
+        # t = 18.3 on 97 df: 1 - CDF rounds to 0, the true p is 2.6e-33
+        t, p = williams_test(0.99, 0.2, 0.2, 100)
+        assert p > 0.0
+        assert p == pytest.approx(2.0 * t_sf_reference(t, 97), rel=1e-9)
+
     def test_degenerate_correlations_marker(self):
         assert williams_test(1.0, 0.2, 0.2, 20) is None
 
@@ -140,7 +146,7 @@ class TestStudentT:
                   (2.2, 199), (-2.2, 199)]
         assert len(points) == 20
         for x, df in points:
-            assert student_t_cdf(x, df) == pytest.approx(t_cdf_reference(x, df), abs=1e-8)
+            assert student_t_sf(x, df) == pytest.approx(t_sf_reference(x, df), abs=1e-8)
 
 
 class TestReport:

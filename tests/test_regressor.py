@@ -268,8 +268,9 @@ class TestHydraLoss:
             assert not g.any(), name
 
     def test_finished_graph_freed_without_cycle_collector(self):
-        # a graph that is a reference cycle, with all its im2col columns,
-        # lives until the cycle collector happens to run
+        # a graph that is a reference cycle, with the im2col columns or
+        # padded inputs its conv nodes keep, lives until the cycle collector
+        # happens to run
         model = build_base_regressor(TINY)
         img = np.random.default_rng(10).uniform(size=(1, 8, 8))
         gc.disable()
