@@ -16,6 +16,10 @@ File formats:
   and each file appears once, however its path is spelled.
 * CSV artifacts: written by :func:`write_csv`, which, like the model file,
   replaces its target atomically (:func:`write_atomic`).
+* ``key=value`` text, in run configs and the model file: one pair per line,
+  values ``true``/``false``, finite floats, comma-separated lists, ``a:b``
+  pair lists, ``none`` for an unset optional value; :func:`format_value`
+  writes what the parsers read.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +97,8 @@ class SyntheticConfig:
             raise ValueError("blob sigmas must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if min(self.image_extent) < 4 * self.blob_sigma_range[1]:
             raise ValueError(f"image extent {self.image_extent} too small for blobs of "
                              f"sigma up to {self.blob_sigma_range[1]} (needs >= 4x sigma)")
@@ -285,6 +291,77 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerow([format_float(v) if v is None or isinstance(v, float) else v
                          for v in row])
     write_atomic(path, buf.getvalue().encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# key=value text
+# ---------------------------------------------------------------------------
+
+def parse_key_values(text: str) -> dict[str, tuple[str, int]]:
+    """``key=value`` lines as ``{key: (value, line number)}``; blank lines and
+    ``#`` comments are skipped, and a repeated key is an error."""
+    entries: dict[str, tuple[str, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise ValueError(f"line {lineno}: empty key")
+        if key in entries:
+            raise ValueError(f"line {lineno}: duplicate key {key!r} "
+                             f"(first set on line {entries[key][1]})")
+        entries[key] = (value, lineno)
+    return entries
+
+
+def parse_bool(v: str) -> bool:
+    if v not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v == "true"
+
+
+def parse_float(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
+def parse_list(item: Callable):
+    """Comma-separated values, each read by ``item``; the empty string is ()."""
+    return lambda v: tuple(item(x) for x in v.split(",")) if v else ()
+
+
+def parse_pair(item: Callable, sep: str = ","):
+    def read(v: str) -> tuple:
+        parts = v.split(sep)
+        if len(parts) != 2:
+            raise ValueError(f"expected two values separated by {sep!r}, got {v!r}")
+        return item(parts[0]), item(parts[1])
+    return read
+
+
+parse_pair_list = parse_list(parse_pair(int, ":"))
+
+
+def parse_optional(fn: Callable):
+    return lambda v: None if v == "none" else fn(v)
+
+
+def format_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return ",".join(f"{a}:{b}" for a, b in value)
+        return ",".join(str(x) for x in value)
+    return str(value)
 
 
 # ---------------------------------------------------------------------------

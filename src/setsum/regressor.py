@@ -36,7 +36,8 @@ import numpy as np
 
 from .autodiff import (Tensor, backpropagate, concat_channels, conv, dropout_apply,
                        fully_connected, global_avg_pool, parameter, relu, rows)
-from .data import write_atomic
+from .data import (format_value, parse_float, parse_key_values, parse_list, parse_optional,
+                   parse_pair_list, write_atomic)
 
 __all__ = [
     "MODEL_MAGIC",
@@ -275,33 +276,24 @@ def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.nd
 # config lines the loader does not read (``dims=`` in older files) are ignored
 # ---------------------------------------------------------------------------
 
+_ARCH_FIELDS = {
+    "input_shape": parse_list(int),
+    "conv_blocks": parse_pair_list,
+    "skip_connections": parse_pair_list,
+    "dropout_rate": parse_optional(parse_float),
+    "seed": int,
+}
+
+
 def _config_text(arch: ArchitectureConfig) -> str:
-    lines = [
-        "input_shape=" + ",".join(str(e) for e in arch.input_shape),
-        "conv_blocks=" + ",".join(f"{m}:{k}" for m, k in arch.conv_blocks),
-        "skip_connections=" + ",".join(f"{s}:{d}" for s, d in arch.skip_connections),
-        "dropout_rate=" + ("none" if arch.dropout_rate is None else repr(arch.dropout_rate)),
-        f"seed={arch.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name}={format_value(getattr(arch, name))}\n" for name in _ARCH_FIELDS)
 
 
 def _config_from_text(text: str) -> ArchitectureConfig:
-    fields = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        fields[key] = value
+    fields = {key: value for key, (value, _) in parse_key_values(text).items()}
     try:
-        pairs = lambda v: tuple(tuple(int(x) for x in item.split(":")) for item in v.split(",")) if v else ()
-        return ArchitectureConfig(
-            input_shape=tuple(int(x) for x in fields["input_shape"].split(",")),
-            conv_blocks=pairs(fields["conv_blocks"]),
-            skip_connections=pairs(fields["skip_connections"]),
-            dropout_rate=None if fields["dropout_rate"] == "none" else float(fields["dropout_rate"]),
-            seed=int(fields["seed"]),
-        )
+        return ArchitectureConfig(**{name: parse(fields[name])
+                                     for name, parse in _ARCH_FIELDS.items()})
     except KeyError as exc:
         raise ValueError(f"model file config block is missing key {exc}") from None
 

@@ -8,7 +8,7 @@ Adadelta step.  The methods differ only in what a step's sets are:
 * ``setsum``: each epoch partitions a fresh permutation of the training
   images into sets of ``n`` (black-padded, black-substituted with
   probability ``p``); a step is one set against its summed label
-  (ceil(m/n) steps per epoch).
+  (ceil(m/n) steps per epoch; ``batch_size`` is not used).
 * ``baseline``: a step is a mini-batch of ``batch_size`` one-image sets
   (ceil(m/b) steps per epoch; equal cadence when b = n).
 * ``mixup``: as baseline, but each image is linearly combined with a
@@ -69,10 +69,10 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """One training job.
 
-    For the ``setsum`` method the batch size is tied to the branch count
-    (b = n): one set of n slots per optimizer step.  ``mixup`` draws each
-    image's partner from its own batch, so it needs a batch of at least 2
-    (and ``train`` needs at least 2 training images).
+    ``batch_size`` is the baseline and mixup batch; a ``setsum`` step is
+    always one set of ``n`` slots, whatever ``batch_size`` says.  ``mixup``
+    draws each image's partner from its own batch, so it needs a batch of at
+    least 2 (and ``train`` needs at least 2 training images).
     """
 
     epochs: int
@@ -92,9 +92,6 @@ class TrainConfig:
             raise ValueError("n and batch_size must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.method == "setsum" and self.batch_size != self.n:
-            raise ValueError(f"setsum ties batch_size to the branch count: "
-                             f"batch_size={self.batch_size} but n={self.n}")
         if self.method == "mixup" and self.batch_size < 2:
             raise ValueError(f"mixup needs batch_size >= 2 to pair each image with "
                              f"another, got {self.batch_size}")
@@ -340,8 +337,7 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
         indices = stratified_subsample(pool_labels, size,
                                        np.random.default_rng([master_seed, 101, size]))
         for mi, method in enumerate(methods):
-            cfg = replace(config, method=method,
-                          batch_size=config.n if method == "setsum" else config.batch_size)
+            cfg = replace(config, method=method)
             for rep in range(num_seeds):
                 job_list.append(_CurveJob(
                     manifest=manifest, train_indices=tuple(indices), arch=arch,

@@ -50,7 +50,12 @@ def test_workload_configs_resolve(monkeypatch):
             config = w.run_config(1)
             config.synthetic_config()
             config.architecture(model_seed=1)
-            config.train_config()
+            batch = config.train_config().batch_size
+            # workloads.py reads the raw key; the resolved batch is what trains
+            if workload.name == "setsum_2d16":
+                assert batch == config["train.n"] and config["train.batch_size"] is None
+            if workload.name == "baseline_3d12":
+                assert batch == 1 and config["train.batch_size"] == 1
 
 
 def _assert_workload_hooks_reached(tmp_path, monkeypatch, config: TrainConfig):

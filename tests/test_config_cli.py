@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,21 @@ def write_config(tmp_path: Path, extra: str = "") -> Path:
     return path
 
 
+def write_config_with(tmp_path: Path, line: str) -> Path:
+    """BASE with ``line`` in place of any line setting the same key."""
+    path = write_config(tmp_path)
+    key = line.partition("=")[0]
+    kept = [x for x in path.read_text().splitlines() if not x.startswith(key + "=")]
+    path.write_text("\n".join(kept + [line]) + "\n")
+    return path
+
+
+_FLOAT_KEYS = ("data.noise_sigma", "data.volume_threshold", "arch.dropout_rate",
+               "augment.rotation_range", "train.p")
+_FLOAT_PAIR_KEYS = ("data.blob_sigma_range", "data.intensity_range")
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
 class TestParsing:
     def test_defaults_and_overrides(self, tmp_path):
         config = parse_config_file(write_config(tmp_path))
@@ -46,7 +62,7 @@ class TestParsing:
         assert config.values["data.num_test"] == 4
         assert config.values["data.noise_sigma"] == 0.05  # default
         assert config.values["train.loss"] == "mse"
-        assert config.input_shape == (1, 8, 8)
+        assert config.architecture(model_seed=0).input_shape == (1, 8, 8)
 
     @pytest.mark.parametrize("line", ["data.imag_extent=8,8", "arch.seed=3",
                                       "arch.zero_bias=false"])
@@ -78,6 +94,15 @@ class TestParsing:
     def test_unknown_kind_names_allowed_values(self, line, message):
         with pytest.raises(ConfigError, match=message):
             parse_config_text(f"output_dir=o\ndata.image_extent=8,8\n{line}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        (key, bad) for key in _FLOAT_KEYS for bad in _NON_FINITE] + [
+        (key, value) for key in _FLOAT_PAIR_KEYS for bad in _NON_FINITE
+        for value in (f"{bad},1.0", f"0.5,{bad}")])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"line 3: bad value for {re.escape(key)}: "
+                                              r"expected a finite number"):
+            parse_config_text(f"output_dir=o\ndata.image_extent=8,8\n{key}={value}\n")
 
     def test_seed_override(self, tmp_path):
         config = parse_config_file(write_config(tmp_path), seed_override=99)
@@ -159,7 +184,7 @@ class TestCli:
 
     def test_mixup_with_batch_of_one_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "train.method=mixup\ntrain.batch_size=1\n")
-        assert main(["generate", str(cfg)]) == 0
+        assert main(["generate", str(cfg)]) == 2
         assert main(["train", str(cfg)]) == 2
         assert "mixup needs batch_size >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "train").exists()
@@ -172,6 +197,27 @@ class TestCli:
         assert main(["generate", str(cfg)]) == 0
         assert main(["train", str(cfg)]) == 2
         assert "at least 2 training images" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "curve"])
+    @pytest.mark.parametrize("line, message", [
+        ("data.blob_count_range=3,1", "data: blob_count_range has min > max"),
+        ("arch.dropout_rate=1.5", "arch: dropout_rate must be in [0, 1), got 1.5"),
+        ("augment.translation_range=-1", "augment: translation range must be non-negative"),
+        ("train.p=2", "train: p must be in [0, 1], got 2.0")],
+        ids=["data", "arch", "augment", "train"])
+    def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
+        cfg = write_config_with(tmp_path, line)
+        assert main([command, str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed_line, flag", [("seed=-1", []), ("seed=5", ["--seed", "-1"])],
+                             ids=["key", "flag"])
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys, seed_line, flag):
+        cfg = write_config_with(tmp_path, seed_line)
+        assert main(["generate", str(cfg), *flag]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_train_without_manifest_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

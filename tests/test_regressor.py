@@ -322,6 +322,17 @@ class TestSerialization:
         for name in model.parameters:
             assert np.array_equal(back.parameters[name].data, model.parameters[name].data)
 
+    def test_config_block_is_fixed_text(self, tmp_path):
+        arch = ArchitectureConfig(input_shape=(1, 6, 6, 6), conv_blocks=((2, 3), (3, 3)),
+                                  skip_connections=((1, 2),), dropout_rate=0.1, seed=11)
+        path = tmp_path / "m.ssrm"
+        save_model(build_base_regressor(arch), path)
+        blob = path.read_bytes()
+        (text_len,) = struct.unpack("<I", blob[5:9])
+        assert blob[:5] == b"SSRM1"
+        assert blob[9:9 + text_len] == (b"input_shape=1,6,6,6\nconv_blocks=2:3,3:3\n"
+                                         b"skip_connections=1:2\ndropout_rate=0.1\nseed=11\n")
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "m.ssrm"
         save_model(build_base_regressor(TINY), path)

@@ -29,10 +29,6 @@ def fresh_model(seed=2):
 
 
 class TestTrainConfig:
-    def test_setsum_ties_batch_to_branches(self):
-        with pytest.raises(ValueError, match="ties batch_size"):
-            TrainConfig(epochs=1, method="setsum", n=4, batch_size=2)
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             TrainConfig(epochs=1, method="magic", n=1, batch_size=1)
