@@ -18,7 +18,7 @@ from .optim import AdadeltaState, adadelta_step
 from .regressor import (ArchitectureConfig, RegressorModel, build_base_regressor,
                         hydra_forward, hydra_loss, hydra_loss_replicated, load_model,
                         predict, save_model)
-from .trainer import (LearningCurvePoint, TrainConfig, TrainHistory, TrainingDiverged,
-                      infer, learning_curve_experiment, stratified_subsample, train)
+from .trainer import (TrainConfig, TrainHistory, TrainingDiverged, infer,
+                      learning_curve_experiment, stratified_subsample, train)
 
 __version__ = "0.1.0"

@@ -159,19 +159,17 @@ def cmd_curve(config: RunConfig, args) -> int:
     manifest = _load_manifest(config)
     sizes = config.values["curve.sizes"]
     methods = config.values["curve.methods"]
-    epochs = config.values["curve.epochs"]
-    base = config.train_config(epochs=epochs)
     arch = config.architecture(model_seed=0)  # reseeded per job
     started = time.perf_counter()
-    results, points = learning_curve_experiment(
+    results = learning_curve_experiment(
         manifest, sizes, methods, config.values["curve.num_seeds"],
-        arch=arch, config=base, master_seed=config.seed,
+        arch=arch, config=config.curve, master_seed=config.seed,
         jobs=args.jobs)
     elapsed = time.perf_counter() - started
     out_dir = Path(config.output_dir) / "curve"
     out_dir.mkdir(parents=True, exist_ok=True)
     write_job_csv(out_dir / "curve_jobs.csv", results)
-    write_aggregate_csv(out_dir / "curve_aggregate.csv", points)
+    write_aggregate_csv(out_dir / "curve_aggregate.csv", results)
     print(f"{len(results)} jobs over sizes {list(sizes)} and methods {list(methods)} "
           f"-> {out_dir}")
     print(f"wall time {elapsed:.1f}s", file=sys.stderr)

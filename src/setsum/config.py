@@ -7,22 +7,25 @@ in reproduces the run exactly.
 
 Values use the syntax shared with the model file (see :mod:`setsum.data`;
 floats must be finite).  The module configs are built here, once, so each
-value they check is rejected before any command writes; this module checks
-only what ties keys together.  ``train.batch_size`` is the baseline and
-mixup batch (a setsum step is one set of ``train.n``), and
+value they check is rejected before any command writes, and so is a curve
+grid that fails :func:`setsum.trainer.check_curve_grid` or a
+``curve.methods`` entry or ``curve.epochs`` that ``TrainConfig`` rejects;
+this module checks only what ties keys together.  ``train.batch_size`` is
+the baseline and mixup batch (a setsum step is one set of ``train.n``), and
 ``augment.flip_axes=all`` flips every axis of ``data.image_extent``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 from .augment import AugmentationConfig
 from .data import (LABEL_KINDS, SyntheticConfig, format_value, parse_bool, parse_float,
                    parse_key_values, parse_list, parse_optional, parse_pair, parse_pair_list)
 from .regressor import LOSS_KINDS, ArchitectureConfig
-from .trainer import TrainConfig
+from .trainer import TrainConfig, check_curve_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "parse_config_file", "config_text"]
 
@@ -75,12 +78,14 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
 @dataclass
 class RunConfig:
     """Fully resolved configuration for every CLI command: the parsed value of
-    every key, and the module configs built from them at parse."""
+    every key, and the module configs built from them at parse (``curve`` is
+    ``train`` with ``curve.epochs``; each curve job sets its own method)."""
 
     values: dict
     synthetic: SyntheticConfig
     arch: ArchitectureConfig
     train: TrainConfig
+    curve: TrainConfig
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -99,11 +104,8 @@ class RunConfig:
     def architecture(self, model_seed: int) -> ArchitectureConfig:
         return replace(self.arch, seed=model_seed)
 
-    def augmentation(self) -> Optional[AugmentationConfig]:
-        return self.train.augmentation
-
-    def train_config(self, epochs: int | None = None) -> TrainConfig:
-        return self.train if epochs is None else replace(self.train, epochs=epochs)
+    def train_config(self) -> TrainConfig:
+        return self.train
 
 
 def _build(section: str, make: Callable, **kwargs):
@@ -175,7 +177,14 @@ def parse_config_text(text: str, seed_override: int | None = None) -> RunConfig:
         loss_kind=v["train.loss"],
         batch_size=batch,
         augmentation=augment)
-    return RunConfig(v, synthetic, arch, train)
+    _build("curve", check_curve_grid, sizes=v["curve.sizes"], methods=v["curve.methods"],
+           num_seeds=v["curve.num_seeds"])
+    epochs = v["curve.epochs"]
+    curve = _build("curve", partial(replace, train),
+                   epochs=train.epochs if epochs is None else epochs)
+    for method in v["curve.methods"]:
+        _build("curve", partial(replace, curve), method=method)
+    return RunConfig(v, synthetic, arch, train, curve)
 
 
 def parse_config_file(path, seed_override: int | None = None) -> RunConfig:
@@ -193,13 +202,15 @@ def _validate(values: dict) -> None:
                           f"got {values['data.label_kind']!r}")
     if values["train.loss"] not in LOSS_KINDS:
         raise ConfigError(f"train.loss must be one of {LOSS_KINDS}, got {values['train.loss']!r}")
-    dims = values["data.dims"]
-    if len(values["data.image_extent"]) != dims:
-        raise ConfigError(f"data.image_extent {values['data.image_extent']} does not "
-                          f"match data.dims={dims}")
+    dims, extent = values["data.dims"], values["data.image_extent"]
+    if len(extent) != dims:
+        raise ConfigError(f"data.image_extent {extent} does not match data.dims={dims}")
     crop = values["data.crop_extent"]
     if crop is not None and len(crop) != dims:
         raise ConfigError(f"data.crop_extent {crop} does not match data.dims={dims}")
+    if crop is not None and any(not 1 <= c <= e for c, e in zip(crop, extent)):
+        raise ConfigError(f"data.crop_extent {crop} must lie between 1 and "
+                          f"data.image_extent {extent} on each axis")
     axes = values["augment.flip_axes"]
     if axes != "all" and any(not 0 <= a < dims for a in axes):
         raise ConfigError(f"augment.flip_axes {axes} out of range for dims={dims}")

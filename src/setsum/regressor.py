@@ -64,7 +64,8 @@ class ArchitectureConfig:
     from 1; ``skip_connections`` are (source_block, target_block) pairs
     realized by concatenating the source block's output channels onto the
     target block's input.  All convolutions are stride 1 with same padding
-    (kernel_size // 2).
+    (kernel_size // 2); kernels are odd, so every block keeps the input's
+    spatial extent and any skip concatenation fits.
     """
 
     input_shape: tuple[int, ...]
@@ -86,8 +87,9 @@ class ArchitectureConfig:
         if not self.conv_blocks:
             raise ValueError("need at least one conv block")
         for i, (maps, k) in enumerate(self.conv_blocks, start=1):
-            if maps < 1 or k < 1:
-                raise ValueError(f"conv block {i} has invalid (maps, kernel) = ({maps}, {k})")
+            if maps < 1 or k < 1 or k % 2 == 0:
+                raise ValueError(f"conv block {i} has invalid (maps, kernel) = ({maps}, {k}); "
+                                 f"maps must be positive and the kernel positive and odd")
         nb = len(self.conv_blocks)
         for src, dst in self.skip_connections:
             if not (1 <= src < dst <= nb):
@@ -120,35 +122,17 @@ class RegressorModel:
 def _layer_plan(arch: ArchitectureConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """Parameter names, shapes, and fan-ins in declaration order.
 
-    Walks the block graph, tracking channel counts and spatial extents so
-    that incompatible skip concatenations are rejected up front.
+    A block's input channels are the previous block's output channels (the
+    image's for block 1) plus those of each skip source into it.
     """
     plan: list[tuple[str, tuple[int, ...], int]] = []
     d = arch.dims
     channels = arch.input_shape[0]
-    extent = arch.input_shape[1:]
-    block_channels: list[int] = []
-    block_extent: list[tuple[int, ...]] = []
     for i, (maps, k) in enumerate(arch.conv_blocks, start=1):
-        in_ch = channels
-        for src, dst in arch.skip_connections:
-            if dst == i:
-                if block_extent[src - 1] != extent:
-                    raise ValueError(
-                        f"skip connection {src}->{i} concatenates extent "
-                        f"{block_extent[src - 1]} onto {extent}; use odd kernels "
-                        f"so blocks preserve their spatial extents")
-                in_ch += block_channels[src - 1]
-        pad = k // 2
-        for ax, e in enumerate(extent):
-            if e + 2 * pad < k:
-                raise ValueError(f"block {i}: kernel {k} exceeds padded extent on axis {ax}")
-        extent = tuple((e + 2 * pad - k) + 1 for e in extent)
-        kshape = (maps, in_ch) + (k,) * d
-        plan.append((f"conv{i}.kernel", kshape, in_ch * k ** d))
+        in_ch = channels + sum(arch.conv_blocks[src - 1][0]
+                               for src, dst in arch.skip_connections if dst == i)
+        plan.append((f"conv{i}.kernel", (maps, in_ch) + (k,) * d, in_ch * k ** d))
         channels = maps
-        block_channels.append(maps)
-        block_extent.append(extent)
     plan.append(("fc.weight", (1, channels), channels))
     return plan
 

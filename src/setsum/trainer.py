@@ -45,10 +45,10 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "CurveJobResult",
-    "LearningCurvePoint",
     "train",
     "infer",
     "stratified_subsample",
+    "check_curve_grid",
     "learning_curve_experiment",
     "write_job_csv",
     "write_aggregate_csv",
@@ -217,40 +217,6 @@ class CurveJobResult:
     test_icc: Optional[float]
 
 
-@dataclass(frozen=True)
-class LearningCurvePoint:
-    """Per-seed results and aggregate statistics for one (size, method) cell.
-
-    Standard deviations are population standard deviations (ddof=0), so a
-    single-seed point has std 0 and every statistic is recomputable from the
-    per-seed values.
-    """
-
-    training_set_size: int
-    method: str
-    seeds: tuple[int, ...]
-    mse_values: tuple[float, ...]
-    icc_values: tuple[Optional[float], ...]
-
-    @property
-    def mean_mse(self) -> float:
-        return float(np.mean(self.mse_values))
-
-    @property
-    def std_mse(self) -> float:
-        return float(np.std(self.mse_values))
-
-    @property
-    def mean_icc(self) -> Optional[float]:
-        vals = [v for v in self.icc_values if v is not None]
-        return float(np.mean(vals)) if vals else None
-
-    @property
-    def std_icc(self) -> Optional[float]:
-        vals = [v for v in self.icc_values if v is not None]
-        return float(np.std(vals)) if vals else None
-
-
 def stratified_subsample(labels: Sequence[float], size: int,
                          rng: np.random.Generator) -> list[int]:
     """Pick ``size`` indices whose labels cover the pool pseudo-uniformly.
@@ -299,37 +265,45 @@ def _run_curve_job(job: _CurveJob) -> CurveJobResult:
                           report.icc)
 
 
+def check_curve_grid(sizes: Sequence[int], methods: Sequence[str], num_seeds: int) -> None:
+    """Reject a grid that is wrong whatever the manifest holds: an empty or
+    repeating list (each (size, method) cell must own its seeds), or a size or
+    ``num_seeds`` below 1."""
+    for name, values in (("sizes", sizes), ("methods", methods)):
+        if not values:
+            raise ValueError(f"learning-curve {name} must not be empty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"learning-curve {name} must not repeat, got {list(values)}")
+    for size in sizes:
+        if size < 1:
+            raise ValueError(f"learning-curve size {size} must be at least 1")
+    if num_seeds < 1:
+        raise ValueError("num_seeds must be positive")
+
+
 def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
                               methods: Sequence[str], num_seeds: int, *,
                               arch: ArchitectureConfig, config: TrainConfig,
-                              master_seed: int, jobs: int = 1,
-                              ) -> tuple[list[CurveJobResult], list[LearningCurvePoint]]:
-    """Train every (size, method, seed) job and aggregate per (size, method).
+                              master_seed: int, jobs: int = 1) -> list[CurveJobResult]:
+    """Train every (size, method, seed) job; one result row per job, in grid
+    order (sizes, then methods, then seeds).
 
     For each size one stratified subsample is drawn from the training pool
     and shared by all methods and seeds of that size (seeds vary the weight
     initialization and the training-time randomness, as in repeated runs on
     a fixed split).  Jobs may run in parallel, on at most ``jobs`` workers
     and never more workers than jobs or CPUs; results are identical and in
-    identical order regardless of ``jobs``.  Repeated sizes or methods are
-    rejected, since each (size, method) cell must own its seeds, and so are
-    an empty list of sizes or methods and ``jobs`` below 1.
+    identical order regardless of ``jobs``.  The grid must pass
+    :func:`check_curve_grid`, every size must fit the training pool, and
+    ``jobs`` must be at least 1.
     """
-    for name, values in (("sizes", sizes), ("methods", methods)):
-        if not values:
-            raise ValueError(f"learning-curve {name} must not be empty")
-        if len(set(values)) != len(values):
-            raise ValueError(f"learning-curve {name} must not repeat, got {list(values)}")
+    check_curve_grid(sizes, methods, num_seeds)
     pool = manifest.split_records("train")
     pool_labels = [manifest.label_of(r) for r in pool]
     for size in sizes:
-        if size < 1:
-            raise ValueError(f"learning-curve size {size} must be at least 1")
         if size > len(pool):
             raise ValueError(f"learning-curve size {size} exceeds training pool "
                              f"of {len(pool)}")
-    if num_seeds < 1:
-        raise ValueError("num_seeds must be positive")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     job_list = []
@@ -348,19 +322,8 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn")) as pool_exec:
-            results = list(pool_exec.map(_run_curve_job, job_list))
-    else:
-        results = [_run_curve_job(job) for job in job_list]
-    points = []
-    for size in sizes:
-        for method in methods:
-            cell = [r for r in results if r.size == size and r.method == method]
-            points.append(LearningCurvePoint(
-                training_set_size=size, method=method,
-                seeds=tuple(r.seed for r in cell),
-                mse_values=tuple(r.test_mse for r in cell),
-                icc_values=tuple(r.test_icc for r in cell)))
-    return results, points
+            return list(pool_exec.map(_run_curve_job, job_list))
+    return [_run_curve_job(job) for job in job_list]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +335,18 @@ def write_job_csv(path, results: Sequence[CurveJobResult]) -> None:
               ([r.size, r.method, r.seed, r.test_mse, r.test_icc] for r in results))
 
 
-def write_aggregate_csv(path, points: Sequence[LearningCurvePoint]) -> None:
+def _mean_std(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
+    return (float(np.mean(values)), float(np.std(values))) if values else (None, None)
+
+
+def write_aggregate_csv(path, results: Sequence[CurveJobResult]) -> None:
+    """One row per (size, method) cell of the job rows, in first-seen (grid)
+    order: the mean and population std (ddof=0) of the cell's test MSEs and of
+    its defined test ICCs (``NA`` when none is), so one seed gives std 0."""
+    cells: dict[tuple[int, str], list[CurveJobResult]] = {}
+    for r in results:
+        cells.setdefault((r.size, r.method), []).append(r)
     write_csv(path, ["size", "method", "mean_mse", "std_mse", "mean_icc", "std_icc"],
-              ([p.training_set_size, p.method, p.mean_mse, p.std_mse, p.mean_icc, p.std_icc]
-               for p in points))
+              ([size, method, *_mean_std([r.test_mse for r in cell]),
+                *_mean_std([r.test_icc for r in cell if r.test_icc is not None])]
+               for (size, method), cell in cells.items()))

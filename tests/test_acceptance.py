@@ -5,6 +5,7 @@ learning-curve claim, has no test yet; the full-network finite-difference
 check (criterion 1) takes most of the suite's runtime.
 """
 
+import csv
 import hashlib
 import itertools
 import time
@@ -22,7 +23,7 @@ from setsum.data import SyntheticConfig, generate_dataset
 from setsum.metrics import icc, williams_test
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
                               hydra_loss, hydra_loss_replicated, predict, _forward)
-from setsum.trainer import TrainConfig, train
+from setsum.trainer import CurveJobResult, TrainConfig, train, write_aggregate_csv
 
 from oracles import (correlation_triple, finite_difference, icc_two_way_table,
                      relative_error, williams_t_direct)
@@ -278,7 +279,8 @@ def _curve_config(tmp_path: Path) -> Path:
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
     """Two cmd_curve runs with the same master seed, one serial and one with
-    four workers, emit byte-identical CSVs."""
+    four workers, emit byte-identical CSVs, and the aggregate CSV is rebuilt
+    byte for byte from the parsed job CSV alone."""
     cfg = _curve_config(tmp_path)
     assert main(["generate", str(cfg)]) == 0
     out = tmp_path / "out" / "curve"
@@ -295,4 +297,13 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     assert set(serial) == {"curve_jobs.csv", "curve_aggregate.csv"}
     assert main(["curve", str(cfg), "--jobs", "1"]) == 0
     assert digest_all() == serial
-    report(10, "cmd_curve CSVs byte-identical across reruns and --jobs 1 vs 4")
+    # the aggregate is a function of the job rows alone
+    with open(out / "curve_jobs.csv", newline="") as fh:
+        rows = [CurveJobResult(int(r["size"]), r["method"], int(r["seed"]),
+                               float(r["test_mse"]),
+                               None if r["test_icc"] == "NA" else float(r["test_icc"]))
+                for r in csv.DictReader(fh)]
+    write_aggregate_csv(tmp_path / "rebuilt.csv", rows)
+    assert (tmp_path / "rebuilt.csv").read_bytes() == (out / "curve_aggregate.csv").read_bytes()
+    report(10, "cmd_curve CSVs byte-identical across reruns and --jobs 1 vs 4; "
+               "aggregate rebuilt from the job rows alone")

@@ -126,7 +126,6 @@ class TestParsing:
 
     def test_augment_disabled(self, tmp_path):
         config = parse_config_file(write_config(tmp_path, "augment.enabled=false\n"))
-        assert config.augmentation() is None
         assert config.train_config().augmentation is None
 
 
@@ -203,8 +202,14 @@ class TestCli:
         ("data.blob_count_range=3,1", "data: blob_count_range has min > max"),
         ("arch.dropout_rate=1.5", "arch: dropout_rate must be in [0, 1), got 1.5"),
         ("augment.translation_range=-1", "augment: translation range must be non-negative"),
-        ("train.p=2", "train: p must be in [0, 1], got 2.0")],
-        ids=["data", "arch", "augment", "train"])
+        ("train.p=2", "train: p must be in [0, 1], got 2.0"),
+        ("arch.conv_blocks=3:3,4:2", "arch: conv block 2 has invalid (maps, kernel) = (4, 2)"),
+        ("data.crop_extent=10,10", "data.crop_extent (10, 10) must lie between 1 and "
+                                   "data.image_extent (8, 8) on each axis"),
+        ("curve.epochs=0", "curve: epochs must be positive, got 0"),
+        ("curve.methods=setsum,magic", "curve: method must be one of")],
+        ids=["data", "arch", "augment", "train", "even-kernel", "crop", "curve-epochs",
+             "curve-method"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2

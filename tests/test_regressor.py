@@ -66,14 +66,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="2 or 3 spatial extents"):
             ArchitectureConfig(input_shape=(1, 8))
 
-    def test_inconsistent_skip_rejected(self):
-        # the even kernel in block 2 grows the extent, so block 1's output no
-        # longer matches block 3's input
-        cfg = ArchitectureConfig(input_shape=(1, 8, 8),
-                                 conv_blocks=((3, 3), (4, 2), (5, 3)),
-                                 skip_connections=((1, 3),))
-        with pytest.raises(ValueError, match="skip connection 1->3"):
-            build_base_regressor(cfg)
+    def test_even_kernel_rejected(self):
+        # same padding would grow an even kernel's block by one, so block 1's
+        # output would no longer fit block 3's input
+        with pytest.raises(ValueError, match=r"conv block 2 has invalid .* positive and odd"):
+            ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 2), (5, 3)),
+                               skip_connections=((1, 3),))
 
     def test_bad_skip_order_rejected(self):
         with pytest.raises(ValueError, match="source < target"):

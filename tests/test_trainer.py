@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -250,29 +251,58 @@ def serial_pool(monkeypatch) -> list:
     return created
 
 
+def aggregate_rows(path, results) -> list[dict]:
+    write_aggregate_csv(path, results)
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestAggregateCsv:
+    def test_cells_in_grid_order_over_defined_iccs(self, tmp_path):
+        # sizes and methods come out as first seen, not sorted; a cell with no
+        # defined ICC writes NA, and one with some averages only those
+        rows = [CurveJobResult(6, "setsum", 0, 1.0, None),
+                CurveJobResult(6, "setsum", 1, 3.0, None),
+                CurveJobResult(6, "baseline", 0, 1.0, 0.25),
+                CurveJobResult(6, "baseline", 1, 3.0, None),
+                CurveJobResult(6, "baseline", 2, 1.0, 0.75),
+                CurveJobResult(6, "baseline", 3, 3.0, None),
+                CurveJobResult(2, "setsum", 0, 5.0, 0.25)]
+        write_aggregate_csv(tmp_path / "agg.csv", rows)
+        assert (tmp_path / "agg.csv").read_text().splitlines() == [
+            "size,method,mean_mse,std_mse,mean_icc,std_icc",
+            "6,setsum,2.0,1.0,NA,NA",
+            "6,baseline,2.0,1.0,0.5,0.25",
+            "2,setsum,5.0,0.0,0.25,0.0"]
+
+
 class TestLearningCurve:
-    def test_single_point_shape(self, dataset):
+    def test_single_point_shape(self, dataset, tmp_path):
         cfg = TrainConfig(epochs=2, method="baseline", n=4, batch_size=4)
-        results, points = learning_curve_experiment(
+        results = learning_curve_experiment(
             dataset, [6], ["baseline"], 1, arch=TINY_ARCH, config=cfg, master_seed=1)
-        assert len(results) == 1 and len(points) == 1
-        point = points[0]
-        assert point.training_set_size == 6 and point.method == "baseline"
-        assert point.mean_mse == results[0].test_mse
-        assert point.std_mse == 0.0
+        cells = aggregate_rows(tmp_path / "agg.csv", results)
+        assert len(results) == 1 and len(cells) == 1
+        cell = cells[0]
+        assert cell["size"] == "6" and cell["method"] == "baseline"
+        assert float(cell["mean_mse"]) == results[0].test_mse
+        assert float(cell["std_mse"]) == 0.0
 
     def test_grid_and_csv_shapes(self, dataset, tmp_path):
         cfg = TrainConfig(epochs=2, method="setsum", n=2, batch_size=2)
-        results, points = learning_curve_experiment(
+        results = learning_curve_experiment(
             dataset, [4, 6], ["setsum", "baseline"], 3,
             arch=TINY_ARCH, config=cfg, master_seed=2)
         assert len(results) == 2 * 2 * 3
-        assert len(points) == 2 * 2
-        for point in points:
-            npt.assert_allclose(point.mean_mse, np.mean(point.mse_values), atol=1e-15)
-            npt.assert_allclose(point.std_mse, np.std(point.mse_values), atol=1e-15)
+        cells = aggregate_rows(tmp_path / "agg.csv", results)
+        assert len(cells) == 2 * 2
+        for cell in cells:
+            mse = [r.test_mse for r in results
+                   if (str(r.size), r.method) == (cell["size"], cell["method"])]
+            assert len(mse) == 3
+            npt.assert_allclose(float(cell["mean_mse"]), np.mean(mse), atol=1e-15)
+            npt.assert_allclose(float(cell["std_mse"]), np.std(mse), atol=1e-15)
         write_job_csv(tmp_path / "jobs.csv", results)
-        write_aggregate_csv(tmp_path / "agg.csv", points)
         job_lines = (tmp_path / "jobs.csv").read_text().strip().splitlines()
         agg_lines = (tmp_path / "agg.csv").read_text().strip().splitlines()
         assert job_lines[0] == "size,method,seed,test_mse,test_icc"
@@ -289,7 +319,7 @@ class TestLearningCurve:
                                           arch=TINY_ARCH, config=cfg, master_seed=3)
         second = learning_curve_experiment(dataset, [5], ["baseline"], 2,
                                            arch=TINY_ARCH, config=cfg, master_seed=3)
-        assert first[0] == second[0]
+        assert first == second
 
     @pytest.mark.parametrize("size, message", [(13, "size 13 exceeds training pool"),
                                                (0, "size 0 must be at least 1")], ids=["13", "0"])
@@ -331,13 +361,13 @@ class TestLearningCurve:
         created = serial_pool(monkeypatch)
         monkeypatch.setattr(trainer_mod.os, "cpu_count", lambda: cpus)
         cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
-        results, _ = learning_curve_experiment(dataset, [4], ["baseline"], seeds,
-                                               arch=TINY_ARCH, config=cfg, master_seed=5,
-                                               jobs=jobs)
+        results = learning_curve_experiment(dataset, [4], ["baseline"], seeds,
+                                            arch=TINY_ARCH, config=cfg, master_seed=5,
+                                            jobs=jobs)
         assert len(results) == seeds
         assert created == ([] if workers is None else [workers])
 
-    def test_parallel_jobs_identical_to_serial(self, dataset):
+    def test_parallel_jobs_identical_to_serial(self, dataset, tmp_path):
         cfg = TrainConfig(epochs=2, method="setsum", n=2, batch_size=2)
         serial = learning_curve_experiment(dataset, [4], ["setsum"], 2,
                                            arch=TINY_ARCH, config=cfg, master_seed=4,
@@ -345,5 +375,7 @@ class TestLearningCurve:
         parallel = learning_curve_experiment(dataset, [4], ["setsum"], 2,
                                              arch=TINY_ARCH, config=cfg, master_seed=4,
                                              jobs=2)
-        assert serial[0] == parallel[0]
-        assert serial[1] == parallel[1]
+        assert serial == parallel
+        write_aggregate_csv(tmp_path / "serial.csv", serial)
+        write_aggregate_csv(tmp_path / "parallel.csv", parallel)
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
