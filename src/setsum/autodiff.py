@@ -8,22 +8,25 @@ and returns the gradients of all named parameters reachable from the loss.
 A closure never refers to its own node, so a finished graph holds no
 reference cycle and is freed as soon as the last reference to it is dropped.
 
-Only the primitives the count/volume regressor needs are implemented: 2D/3D
-cross-correlation, ReLU, channel concatenation, global average pooling, fully
-connected layers, inverted dropout, splitting a batch into its rows, and the
-elementwise arithmetic used to assemble scalar losses.  The network
-primitives take a leading batch axis, (batch, channels, *spatial), so one
-graph carries a whole set of images; pooling and the fully connected layer
-act row by row.  One im2col routine does every conv GEMM: the forward pass,
-and the input gradient as the same correlation applied to the output
-gradient.  It copies a read-only strided window view of the padded input
-into columns in blocks of at most ``_BLOCK_BYTES`` per image, one GEMM per
-block.  A conv node keeps its columns for the kernel gradient only when they
-are one block (every conv of the default model at 16x16); otherwise it keeps
-the window view, 27 times smaller for a 3x3x3 kernel, and rebuilds the
-blocks.  The budget is a constant, so no result depends on the machine's
-caches or the batch size.  Everything is float64 and single-threaded per
-graph; identical inputs give bit-identical forward and backward results.
+Only the primitives the count/volume regressor needs are implemented:
+same-padded 2D/3D cross-correlation, ReLU, channel concatenation, global
+average pooling, fully connected layers, inverted dropout, splitting a
+batch into its rows, and the elementwise arithmetic used to assemble scalar
+losses.  The network primitives take a leading batch axis, (batch,
+channels, *spatial), so one graph carries a whole set of images; pooling
+and the fully connected layer act row by row.  Conv kernels have odd
+extents k, and a conv pads each spatial axis by k // 2 zeros per side, so
+its output keeps the input's extents.  One im2col routine does every conv
+GEMM: the forward pass, and the input gradient as the same correlation
+applied to the output gradient.  It copies a read-only strided window view
+of the padded input into columns in blocks of at most ``_BLOCK_BYTES`` per
+image, one GEMM per block.  A conv node keeps its columns for the kernel
+gradient only when they are one block (every conv of the default model at
+16x16); otherwise it keeps the window view, 27 times smaller for a 3x3x3
+kernel, and rebuilds the blocks.  The budget is a constant, so no result
+depends on the machine's caches or the batch size.  Everything is float64
+and single-threaded per graph; identical inputs give bit-identical forward
+and backward results.
 """
 
 from __future__ import annotations
@@ -167,18 +170,19 @@ def _check_same_shape(op: str, a: Tensor, b) -> None:
 # network primitives
 # ---------------------------------------------------------------------------
 
-def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlate every item of ``x`` (batch, channels, *spatial) with ``kernel``.
+def conv(x: Tensor, kernel: Tensor) -> Tensor:
+    """Same-padded cross-correlation of every item of ``x`` (batch, channels,
+    *spatial) with ``kernel``.
 
-    ``kernel`` has layout (out_channels, in_channels, *spatial); the stride
-    is 1 and output extents are in + 2*padding - k + 1 per spatial dimension.
-    The whole batch goes through :func:`_correlate`.  The node keeps the im2col
-    columns when they are one block, else only the padded input's window
-    view, and the kernel gradient sums one GEMM per block of them.  The
-    input gradient is the same routine applied to the output gradient with
-    the flipped, channel-swapped kernel and a pad of k - 1 - padding per
-    axis, which covers exactly the input positions.  There is no bias: a
-    zero input gives a zero output.
+    ``kernel`` has layout (out_channels, in_channels, *spatial) with odd
+    spatial extents; the stride is 1 and each spatial axis of the input is
+    padded by k // 2 zeros per side, so the output keeps the input's spatial
+    extents.  The whole batch goes through :func:`_correlate`.  The node
+    keeps the im2col columns when they are one block, else only the padded
+    input's window view, and the kernel gradient sums one GEMM per block of
+    them.  The input gradient is the same routine applied to the output
+    gradient with the flipped, channel-swapped kernel, whose extents, and so
+    pads, are the same.  There is no bias: a zero input gives a zero output.
     """
     d = kernel.ndim - 2
     if d not in (2, 3):
@@ -189,17 +193,10 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
     if kernel.shape[1] != x.shape[1]:
         raise ValueError(f"conv: input has {x.shape[1]} channels but kernel expects "
                          f"{kernel.shape[1]} (kernel axis 1)")
-    if padding < 0:
-        raise ValueError(f"conv: padding must be non-negative, got {padding}")
-    kext = kernel.shape[2:]
-    in_ext = x.shape[2:]
-    for i in range(d):
-        padded = in_ext[i] + 2 * padding
-        if kext[i] > padded:
-            raise ValueError(f"conv: spatial dimension {i} has padded extent {padded} "
-                             f"smaller than kernel extent {kext[i]}")
+    if any(k % 2 == 0 for k in kernel.shape[2:]):
+        raise ValueError(f"conv: kernel spatial extents must be odd, got {kernel.shape[2:]}")
 
-    out_data, kept = _correlate(x.data, kernel.data, (padding,) * d)
+    out_data, kept = _correlate(x.data, kernel.data)
     out = _result(out_data, "conv", (x, kernel))
     if out.requires_grad:
         def _bw(g):
@@ -212,46 +209,40 @@ def conv(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
                         .sum(axis=0).reshape(kernel.shape)
             if x.requires_grad:
                 flipped = np.flip(kernel.data, axis=tuple(range(2, d + 2))).swapaxes(0, 1)
-                x.grad += _correlate(g, flipped, tuple(k - 1 - padding for k in kext))[0]
+                x.grad += _correlate(g, flipped)[0]
         out._backward = _bw
     return out
 
 
-def _correlate(a: np.ndarray, w: np.ndarray,
-               pads: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 cross-correlation of every item of ``a`` (batch, c_in, *spatial)
-    with ``w`` (c_out, c_in, *taps), one GEMM per block of im2col columns.
+def _correlate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded stride-1 cross-correlation of every item of ``a`` (batch,
+    c_in, *spatial) with ``w`` (c_out, c_in, *taps), taps odd, one GEMM per
+    block of im2col columns.
 
-    Spatial axis i of ``a`` is first widened by ``pads[i]`` zeros per side; a
-    negative pad trims that many positions per side instead.  The windows are
-    one read-only strided view of that input, already in column order
-    (batch, c_in, *taps, *positions): tap and position offsets both step by
-    the input's spatial strides, so the windows overlap and the view must
-    never be written.  Returns the (batch, c_out, *positions) output and the
-    (batch, c_in * taps, positions) columns when they fit one block, else the
-    output, built one GEMM per block, and the window view.
+    Spatial axis i of ``a`` is first widened by taps[i] // 2 zeros per side.
+    The windows are one read-only strided view of that input, already in
+    column order (batch, c_in, *taps, *positions): tap and position offsets
+    both step by the input's spatial strides, so the windows overlap and the
+    view must never be written.  Returns the (batch, c_out, *spatial) output
+    and the (batch, c_in * taps, positions) columns when they fit one block,
+    else the output, built one GEMM per block, and the window view.
     """
-    if min(pads) < 0:
-        a = a[(...,) + tuple(slice(-p, e + p) if p < 0 else slice(None)
-                             for p, e in zip(pads, a.shape[2:]))]
-    if max(pads) > 0:
-        grow = [max(p, 0) for p in pads]
-        wide = np.zeros(a.shape[:2] + tuple(e + 2 * p for e, p in zip(a.shape[2:], grow)))
-        wide[(...,) + tuple(slice(p, p + e) for p, e in zip(grow, a.shape[2:]))] = a
+    taps, ext = w.shape[2:], a.shape[2:]
+    if max(taps) > 1:
+        wide = np.zeros(a.shape[:2] + tuple(e + k - 1 for e, k in zip(ext, taps)))
+        wide[(...,) + tuple(slice(k // 2, k // 2 + e) for k, e in zip(taps, ext))] = a
         a = wide
-    taps = w.shape[2:]
-    out_ext = tuple(e - k + 1 for e, k in zip(a.shape[2:], taps))
-    win = as_strided(a, a.shape[:2] + taps + out_ext, a.strides + a.strides[2:],
+    win = as_strided(a, a.shape[:2] + taps + ext, a.strides + a.strides[2:],
                      writeable=False)
     w_mat = w.reshape(w.shape[0], -1)
     if 8 * win.size <= _BLOCK_BYTES * a.shape[0]:
-        col = win.reshape(a.shape[0], -1, math.prod(out_ext))
+        col = win.reshape(a.shape[0], -1, math.prod(ext))
         out = np.matmul(w_mat, col)
-        return out.reshape(out.shape[:2] + out_ext), col
-    out = np.empty((a.shape[0], w.shape[0], math.prod(out_ext)))
+        return out.reshape(out.shape[:2] + ext), col
+    out = np.empty((a.shape[0], w.shape[0], math.prod(ext)))
     for pos, col in _column_blocks(win):
         np.matmul(w_mat, col, out=out[..., pos])
-    return out.reshape(out.shape[:2] + out_ext), win
+    return out.reshape(out.shape[:2] + ext), win
 
 
 def _column_blocks(win: np.ndarray):

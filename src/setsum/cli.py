@@ -189,9 +189,6 @@ def main(argv=None) -> int:
     try:
         config = parse_config_file(args.config, seed_override=args.seed)
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

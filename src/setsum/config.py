@@ -10,7 +10,9 @@ floats must be finite).  The module configs are built here, once, so each
 value they check is rejected before any command writes, and so is a curve
 grid that fails :func:`setsum.trainer.check_curve_grid` or a
 ``curve.methods`` entry or ``curve.epochs`` that ``TrainConfig`` rejects;
-this module checks only what ties keys together.  ``train.batch_size`` is
+this module checks only what ties keys together, and that the split sizes
+``data.num_*``, which no module config holds, are non-negative.
+``train.batch_size`` is
 the baseline and mixup batch (a setsum step is one set of ``train.n``), and
 ``augment.flip_axes=all`` flips every axis of ``data.image_extent``.
 """
@@ -30,7 +32,7 @@ from .trainer import TrainConfig, check_curve_grid
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "parse_config_file", "config_text"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A configuration file could not be parsed or resolved."""
 
 
@@ -202,6 +204,9 @@ def _validate(values: dict) -> None:
                           f"got {values['data.label_kind']!r}")
     if values["train.loss"] not in LOSS_KINDS:
         raise ConfigError(f"train.loss must be one of {LOSS_KINDS}, got {values['train.loss']!r}")
+    for key in ("data.num_train", "data.num_val", "data.num_test"):
+        if values[key] < 0:
+            raise ConfigError(f"{key} must be non-negative, got {values[key]}")
     dims, extent = values["data.dims"], values["data.image_extent"]
     if len(extent) != dims:
         raise ConfigError(f"data.image_extent {extent} does not match data.dims={dims}")

@@ -467,11 +467,11 @@ def generate_dataset(out_dir, config: SyntheticConfig, num_train: int, num_val: 
     per split (pseudo-uniform label coverage); everything else about each
     image is random.
     """
-    out_dir = Path(out_dir)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
     counts = {"train": num_train, "val": num_val, "test": num_test}
     if any(c < 0 for c in counts.values()):
         raise ValueError(f"split sizes must be non-negative, got {counts}")
+    out_dir = Path(out_dir)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
     records = []
     idx = 0
     for split in SPLITS:

@@ -104,10 +104,6 @@ class RegressorModel:
     architecture: ArchitectureConfig
     parameters: dict[str, Tensor]
 
-    @property
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters.values())
-
     def black_image(self) -> np.ndarray:
         return np.zeros(self.architecture.input_shape)
 
@@ -162,12 +158,12 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], batch: np.ndar
     rate = arch.dropout_rate
     use_dropout = training and rate is not None and rate > 0.0
     block_out: list[Tensor] = []
-    for i, (maps, k) in enumerate(arch.conv_blocks, start=1):
+    for i in range(1, len(arch.conv_blocks) + 1):
         inp = x
         for src, dst in arch.skip_connections:
             if dst == i:
                 inp = concat_channels(inp, block_out[src - 1])
-        x = relu(conv(inp, params[f"conv{i}.kernel"], padding=k // 2))
+        x = relu(conv(inp, params[f"conv{i}.kernel"]))
         if use_dropout:
             x = dropout_apply(x, rate, rng)
         block_out.append(x)

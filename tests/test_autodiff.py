@@ -13,42 +13,43 @@ from oracles import conv_loop, fc_loop, finite_difference, relative_error
 
 class TestConv:
     def test_all_ones(self):
-        out = conv(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
-        assert out.shape == (1, 1, 2, 2)
-        npt.assert_array_equal(out.data, 4.0)
+        # same padding: each output counts the input positions its 3x3 window covers
+        out = conv(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))))
+        assert out.shape == (1, 1, 3, 3)
+        npt.assert_array_equal(out.data[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0],
+                                                [4.0, 6.0, 4.0]])
 
     def test_zero_kernel_annihilates(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 3, 5, 5)))
-        out = conv(x, Tensor(np.zeros((2, 3, 3, 3))), padding=1)
+        out = conv(x, Tensor(np.zeros((2, 3, 3, 3))))
         npt.assert_array_equal(out.data, 0.0)
 
     def test_matches_loop_oracle_2d(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
-        got = conv(Tensor(x[None]), Tensor(k), padding=1).data[0]
+        got = conv(Tensor(x[None]), Tensor(k)).data[0]
         npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
     def test_matches_loop_oracle_3d(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 6, 5, 7))
         k = rng.normal(size=(4, 2, 3, 3, 3))
-        got = conv(Tensor(x[None]), Tensor(k), padding=1).data[0]
+        got = conv(Tensor(x[None]), Tensor(k)).data[0]
         npt.assert_allclose(got, conv_loop(x, k, padding=1), atol=1e-12)
 
-    def test_output_extent_formula(self):
-        x = Tensor(np.zeros((2, 1, 11, 9)))
-        k = Tensor(np.zeros((1, 1, 3, 5)))
-        assert conv(x, k, padding=2).shape == (2, 1, 13, 9)
+    @pytest.mark.parametrize("spatial, kext", [((11, 9), (3, 5)), ((2, 8), (5, 3)),
+                                               ((4, 3, 5), (1, 3, 5))],
+                             ids=["2d-k3x5", "2d-k5x3", "3d-k1x3x5"])
+    def test_output_keeps_input_extents(self, spatial, kext):
+        # a 5x3 kernel fits a 2x8 input too: the output never shrinks
+        x = Tensor(np.zeros((2, 1) + spatial))
+        assert conv(x, Tensor(np.zeros((1, 1) + kext))).shape == (2, 1) + spatial
 
     def test_channel_mismatch_names_dimension(self):
         with pytest.raises(ValueError, match="kernel axis 1"):
             conv(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))))
-
-    def test_kernel_larger_than_input_rejected(self):
-        with pytest.raises(ValueError, match="spatial dimension 0"):
-            conv(Tensor(np.zeros((1, 1, 2, 8))), Tensor(np.zeros((1, 1, 5, 3))))
 
     def test_multi_block_node_keeps_no_columns(self):
         # 24 -> 32 channels, 3x3x3 at 12^3: 8.96 MB of im2col columns, which
@@ -59,7 +60,7 @@ class TestConv:
         kernel = parameter(rng.normal(size=(32, 24, 3, 3, 3)), "kernel")
         tracemalloc.start()
         try:
-            out = conv(x, kernel, padding=1)
+            out = conv(x, kernel)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -74,42 +75,49 @@ class ConvBatchChecks:
     @pytest.mark.parametrize("spatial", [(6, 7), (5, 6, 5)], ids=["2d", "3d"])
     @pytest.mark.parametrize("padding, k", [(p, k) for k in (1, 2, 3, 5) for p in range(k + 1)])
     def test_conv_per_item(self, spatial, k, padding):
+        # The oracle's correlation at any padding is a window of the
+        # same-padded conv, at padding k // 2 the whole output.  An even
+        # kernel gets a zero tap appended (same padding needs odd extents),
+        # and the input is widened by the zeros that the oracle's padding
+        # adds beyond the conv's own.
         rng = np.random.default_rng(20 + k + padding)
+        d = len(spatial)
         x = rng.normal(size=(3, 2) + spatial)
-        kernel = rng.normal(size=(2, 2) + (k,) * len(spatial))
-        got = conv(Tensor(x), Tensor(kernel), padding=padding).data
+        kernel = rng.normal(size=(2, 2) + (k,) * d)
+        odd = np.pad(kernel, [(0, 0)] * 2 + [(0, 1 - k % 2)] * d)
+        widen = max(padding + k // 2 + 1 - k, 0)
+        got = conv(Tensor(np.pad(x, [(0, 0)] * 2 + [(widen, widen)] * d)), Tensor(odd)).data
         assert got.shape[0] == 3
+        start = k // 2 + widen - padding
         for b in range(3):
-            npt.assert_allclose(got[b], conv_loop(x[b], kernel, padding=padding), atol=1e-12)
+            want = conv_loop(x[b], kernel, padding=padding)
+            window = tuple(slice(start, start + n) for n in want.shape[1:])
+            npt.assert_allclose(got[b][(slice(None),) + window], want, atol=1e-12)
 
     @pytest.mark.parametrize("spatial,kext", [((5, 6), (3, 3)), ((6, 5), (5, 5)),
                                               ((4, 3, 4), (3, 3, 3)), ((5, 6), (3, 5)),
                                               ((5, 6), (2, 2))],
                              ids=["2d-k3", "2d-k5", "3d-k3", "2d-k3x5", "2d-k2"])
     def test_input_gradient_matches_finite_differences(self, spatial, kext):
-        # input and kernel gradient at every padding up to the largest kernel
-        # extent: the backward pad k_i - 1 - padding then differs between
-        # axes and goes negative, and at padding max(kext) no input
-        # position's window reaches into the output gradient's zero border
         rng = np.random.default_rng(22 + max(kext))
         kernel = parameter(rng.normal(size=(3, 2) + kext), "kernel")
+        x = parameter(rng.normal(size=(2, 2) + spatial), "x")
+        if any(k % 2 == 0 for k in kext):
+            with pytest.raises(ValueError, match="must be odd"):
+                conv(x, kernel)
+            return
         w = Tensor(rng.normal(size=(1, 3)))
-        for padding in range(max(kext) + 1):
-            x = parameter(rng.normal(size=(2, 2) + spatial), "x")
-            out_ext = tuple(e + 2 * padding - k + 1 for e, k in zip(spatial, kext))
-            weight = Tensor(rng.normal(size=(2, 3) + out_ext))
+        weight = Tensor(rng.normal(size=(2, 3) + spatial))
 
-            def loss_node():
-                heads = rows(fully_connected(global_avg_pool(
-                    conv(x, kernel, padding=padding) * weight), w))
-                return heads[0] + heads[1]
+        def loss_node():
+            heads = rows(fully_connected(global_avg_pool(conv(x, kernel) * weight), w))
+            return heads[0] + heads[1]
 
-            analytic = backpropagate(loss_node())
-            arrays = {"x": x.data, "kernel": kernel.data}
-            numeric = finite_difference(lambda: loss_node().item(), arrays)
-            for name in arrays:
-                assert relative_error(analytic[name], numeric[name]).max() < 1e-6, \
-                    (name, padding)
+        analytic = backpropagate(loss_node())
+        arrays = {"x": x.data, "kernel": kernel.data}
+        numeric = finite_difference(lambda: loss_node().item(), arrays)
+        for name in arrays:
+            assert relative_error(analytic[name], numeric[name]).max() < 1e-6, name
 
 
 class TestBatch(ConvBatchChecks):
@@ -264,8 +272,8 @@ class TestBackpropagate:
         x = Tensor(rng.normal(size=(1, 2, 6, 6)) + 0.3)
 
         def loss_node():
-            h = relu(conv(x, k1, padding=1))
-            h = concat_channels(h, relu(conv(x, k1, padding=1)) * 0.5)
+            h = relu(conv(x, k1))
+            h = concat_channels(h, relu(conv(x, k1)) * 0.5)
             h = concat_channels(h, Tensor(np.zeros((1, 0, 6, 6))))
             out = fully_connected(global_avg_pool(h), w)
             diff = out - 1.5
@@ -296,9 +304,9 @@ class TestProperties:
         k = rng.normal(size=(3, 2, 3, 3))
         combo = Tensor(alpha * x + beta * y)
 
-        lhs = conv(combo, Tensor(k), padding=1).data
-        rhs = alpha * conv(Tensor(x), Tensor(k), padding=1).data \
-            + beta * conv(Tensor(y), Tensor(k), padding=1).data
+        lhs = conv(combo, Tensor(k)).data
+        rhs = alpha * conv(Tensor(x), Tensor(k)).data \
+            + beta * conv(Tensor(y), Tensor(k)).data
         npt.assert_allclose(lhs, rhs, atol=1e-10)
 
         npt.assert_allclose(global_avg_pool(combo).data,
@@ -325,7 +333,7 @@ class TestProperties:
             rng = np.random.default_rng(12)
             k = parameter(rng.normal(size=(2, 1, 3, 3)), "k")
             x = Tensor(rng.normal(size=(1, 1, 6, 6)))
-            out = fully_connected(global_avg_pool(relu(conv(x, k, padding=1))),
+            out = fully_connected(global_avg_pool(relu(conv(x, k))),
                                   Tensor(rng.normal(size=(1, 2))))
             grads = backpropagate(out * out)
             return out.data.copy(), grads["k"].copy()
@@ -339,7 +347,7 @@ class TestProperties:
         rng = np.random.default_rng(13)
         k = parameter(rng.normal(size=(4, 3, 3, 3)), "k")
         x = Tensor(rng.normal(size=(1, 3, 8, 8)) * 100)
-        out = global_avg_pool(relu(conv(x, k, padding=1)))
+        out = global_avg_pool(relu(conv(x, k)))
         total = fully_connected(out, Tensor(rng.normal(size=(1, 4))))
         grads = backpropagate(total * total)
         assert np.isfinite(total.data).all()

@@ -207,9 +207,12 @@ class TestCli:
         ("data.crop_extent=10,10", "data.crop_extent (10, 10) must lie between 1 and "
                                    "data.image_extent (8, 8) on each axis"),
         ("curve.epochs=0", "curve: epochs must be positive, got 0"),
-        ("curve.methods=setsum,magic", "curve: method must be one of")],
+        ("curve.methods=setsum,magic", "curve: method must be one of"),
+        ("data.num_train=-1", "data.num_train must be non-negative, got -1"),
+        ("data.num_val=-2", "data.num_val must be non-negative, got -2"),
+        ("data.num_test=-3", "data.num_test must be non-negative, got -3")],
         ids=["data", "arch", "augment", "train", "even-kernel", "crop", "curve-epochs",
-             "curve-method"])
+             "curve-method", "num-train", "num-val", "num-test"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2
@@ -236,6 +239,19 @@ class TestCli:
         manifest.write_text("path,count_label,volume_label,split\n../secret.sstf,1,1,train\n")
         assert main(["train", str(cfg)]) == 2
         assert "manifest.csv:2: path '../secret.sstf' leaves" in capsys.readouterr().err
+
+    def test_manifest_from_another_output_dir(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for command in ("generate", "train", "eval"):
+            assert main([command, str(cfg)]) == 0
+        other = tmp_path / "other.cfg"
+        manifest = tmp_path / "out" / "dataset" / "manifest.csv"
+        other.write_text(BASE.format(out=tmp_path / "other") + f"data.manifest={manifest}\n")
+        assert main(["train", str(other)]) == 0
+        assert main(["eval", str(other)]) == 0
+        assert not (tmp_path / "other" / "dataset").exists()
+        for rel in ("train/model.ssrm", "eval/predictions.csv", "eval/metrics.csv"):
+            assert _digest(tmp_path / "other" / rel) == _digest(tmp_path / "out" / rel)
 
     def test_resume_with_corrupt_model_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
