@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "BLACK",
@@ -169,6 +168,7 @@ def _rotation_matrix(angles: list[float], d: int) -> np.ndarray:
 
 def _rotate(image: np.ndarray, angles: list[float]) -> np.ndarray:
     """Rotate spatial axes about the spatial center, linear interpolation, zero fill."""
+    from scipy import ndimage  # imported here: it loads scipy.special, ~27 MB that unrotated runs skip
     d = image.ndim - 1
     rot = _rotation_matrix(angles, d)
     center = (np.asarray(image.shape[1:], dtype=np.float64) - 1.0) / 2.0

@@ -73,6 +73,9 @@ def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
 
 
 def _echo_config(config: RunConfig) -> None:
+    """Write the resolved config to ``output_dir``.  Commands call it just
+    before writing their outputs, so one that fails leaves the echo of the
+    run whose artifacts the directory holds."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out / "config_resolved.cfg", config_text(config).encode("utf-8"))
@@ -111,7 +114,6 @@ def cmd_generate(config: RunConfig, args) -> int:
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    _echo_config(config)
     manifest = _load_manifest(config)
     model = _build_or_resume(config)
     train_config = config.train_config()
@@ -119,6 +121,7 @@ def cmd_train(config: RunConfig, args) -> int:
     model, history = train(model, manifest, train_config,
                            np.random.default_rng([config.seed, 3]))
     elapsed = time.perf_counter() - started
+    _echo_config(config)
     out_dir = Path(config.output_dir) / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.ssrm")
@@ -132,7 +135,6 @@ def cmd_train(config: RunConfig, args) -> int:
 
 
 def cmd_eval(config: RunConfig, args) -> int:
-    _echo_config(config)
     manifest = _load_manifest(config)
     model_path = Path(args.model) if args.model else Path(config.output_dir) / "train" / "model.ssrm"
     if not model_path.is_file():
@@ -143,6 +145,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise ConfigError("manifest has no test records")
     predictions = infer(model, manifest, "test")
     truths = [manifest.label_of(r) for r in records]
+    _echo_config(config)
     out_dir = Path(config.output_dir) / "eval"
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(out_dir / "predictions.csv", ["path", "truth", "prediction"],
@@ -155,7 +158,6 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 
 def cmd_curve(config: RunConfig, args) -> int:
-    _echo_config(config)
     manifest = _load_manifest(config)
     sizes = config.values["curve.sizes"]
     methods = config.values["curve.methods"]
@@ -166,6 +168,7 @@ def cmd_curve(config: RunConfig, args) -> int:
         arch=arch, config=config.curve, master_seed=config.seed,
         jobs=args.jobs)
     elapsed = time.perf_counter() - started
+    _echo_config(config)
     out_dir = Path(config.output_dir) / "curve"
     out_dir.mkdir(parents=True, exist_ok=True)
     write_job_csv(out_dir / "curve_jobs.csv", results)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "MetricsReport",
@@ -96,11 +95,13 @@ def icc(truth, prediction) -> float | None:
 
 def student_t_sf(x: float, df: int) -> float:
     """Upper tail P(T > x) of Student's t distribution with ``df`` degrees of
-    freedom, computed directly rather than as 1 - CDF, which cancels to 0
+    freedom, taken as the lower tail at -x from ``scipy.special.stdtr`` (what
+    ``scipy.stats.t.sf`` computes) rather than as 1 - CDF, which cancels to 0
     once the CDF rounds to 1."""
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    return float(stats.t.sf(x, df))
+    from scipy.special import stdtr  # imported here: scipy.special adds ~27 MB to every process
+    return float(stdtr(df, -x))
 
 
 def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, float] | None:

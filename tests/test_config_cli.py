@@ -232,6 +232,16 @@ class TestCli:
         assert main(["train", str(cfg)]) == 2
         assert "manifest not found" in capsys.readouterr().err
 
+    def test_failed_command_keeps_config_echo(self, tmp_path, capsys):
+        cfg = write_config_with(tmp_path, "train.epochs=1")
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 0
+        failing = write_config_with(tmp_path, "train.epochs=7")
+        assert main(["eval", str(failing), "--model", "/nonexistent.ssrm"]) == 2
+        assert "model not found" in capsys.readouterr().err
+        echo = (tmp_path / "out" / "config_resolved.cfg").read_text().splitlines()
+        assert "train.epochs=1" in echo
+
     def test_manifest_path_outside_its_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         manifest = tmp_path / "out" / "dataset" / "manifest.csv"

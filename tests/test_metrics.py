@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from setsum.metrics import (MetricsReport, evaluate_pairs, icc, mae, mse, student_t_sf,
                             williams_test)
@@ -147,6 +148,12 @@ class TestStudentT:
         assert len(points) == 20
         for x, df in points:
             assert student_t_sf(x, df) == pytest.approx(t_sf_reference(x, df), abs=1e-8)
+
+    def test_bit_equal_to_scipy_stats(self):
+        xs = [*np.linspace(0.0, 50.0, 201), 1e3]
+        for df in [*range(1, 61), 200]:
+            reference = stats.t.sf(xs, df)
+            assert [student_t_sf(x, df) for x in xs] == list(reference), f"df={df}"
 
 
 class TestReport:

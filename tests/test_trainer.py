@@ -321,7 +321,7 @@ class TestLearningCurve:
                                            arch=TINY_ARCH, config=cfg, master_seed=3)
         assert first == second
 
-    @pytest.mark.parametrize("size, message", [(13, "size 13 exceeds training pool"),
+    @pytest.mark.parametrize("size, message", [(13, "size 13 exceeds pool of 12"),
                                                (0, "size 0 must be at least 1")], ids=["13", "0"])
     def test_oversized_size_rejected(self, dataset, size, message):
         cfg = TrainConfig(epochs=1, method="baseline", n=4, batch_size=4)
