@@ -5,7 +5,9 @@ parent tensors, the kind of operation that produced it, and a closure that
 pushes gradients back to those parents.  :func:`backpropagate` replays the
 closures in reverse topological order, handing each one its node's gradient,
 and returns the gradients of all named parameters reachable from the loss.
-A closure never refers to its own node, so a finished graph holds no
+A gradient lives only while the pass needs it, and afterwards only leaves
+hold one; closures are kept, so a graph can be backpropagated again.  A
+closure never refers to its own node, so a finished graph holds no
 reference cycle and is freed as soon as the last reference to it is dropped.
 
 Only the primitives the count/volume regressor needs are implemented:
@@ -365,19 +367,25 @@ def backpropagate(loss: Tensor) -> dict[str, np.ndarray]:
     Returns a mapping from parameter name to gradient array for every named
     parameter reachable from the loss.  Repeated uses of a parameter within
     the graph accumulate their contributions.
+    Every ``grad`` is reset to None first; a parent needing one gets zeros
+    just before the first closure feeding it runs, and a node's own is set
+    back to None once its closure has run, so only leaves keep theirs.
     """
     if loss.data.size != 1:
         raise ValueError(f"backpropagate: loss must be scalar, got shape {loss.shape}")
     topo = _toposort(loss)
     for node in topo:
-        if node.requires_grad:
-            node.grad = np.zeros_like(node.data)
+        node.grad = None
     if not loss.requires_grad:
         return {}
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
+            for p in node._parents:
+                if p.requires_grad and p.grad is None:
+                    p.grad = np.zeros_like(p.data)
             node._backward(node.grad)
+            node.grad = None
     return {n.name: n.grad for n in topo if n.name is not None and n.requires_grad}
 
 

@@ -465,12 +465,14 @@ def generate_dataset(out_dir, config: SyntheticConfig, num_train: int, num_val: 
     ``i`` uses the generator seeded with ``[config.seed, i]`` so the dataset
     is byte-reproducible.  Blob counts follow :func:`split_count_sequence`
     per split (pseudo-uniform label coverage); everything else about each
-    image is random.
+    image is random.  An earlier ``manifest.csv`` is deleted first, so a run
+    that fails part way leaves no loadable dataset.
     """
     counts = {"train": num_train, "val": num_val, "test": num_test}
     if any(c < 0 for c in counts.values()):
         raise ValueError(f"split sizes must be non-negative, got {counts}")
     out_dir = Path(out_dir)
+    (out_dir / "manifest.csv").unlink(missing_ok=True)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     records = []
     idx = 0

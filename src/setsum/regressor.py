@@ -18,6 +18,10 @@ slots included, whose gradients are summed afterwards; it exists as a
 cross-check for the weight-sharing mechanics and the black-slot skip, and
 is exercised by the test suite.
 
+``predict`` and ``hydra_forward`` build no backward state: they run on the
+parameters as constants sharing their arrays, so no node keeps a closure or
+conv columns, and the output bits are those of the trainable forward.
+
 The network has no additive terms anywhere (no conv or fc biases), so the
 all-zero "black" image maps to exactly 0, and a black slot adds exactly
 nothing to a set's prediction or to its gradients.  This is what lets a
@@ -173,9 +177,14 @@ def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], batch: np.ndar
     return fully_connected(pooled, params["fc.weight"])
 
 
+def _constants(model: RegressorModel) -> dict[str, Tensor]:
+    """The parameters as constants sharing their arrays: no backward state."""
+    return {name: Tensor(p.data) for name, p in model.parameters.items()}
+
+
 def predict(model: RegressorModel, image: np.ndarray) -> float:
-    """Scalar prediction for one image (a batch of one); dropout inactive."""
-    return _forward(model.architecture, model.parameters, image[np.newaxis]).item()
+    """Scalar prediction for one image (a batch of one); no dropout, no backward state."""
+    return _forward(model.architecture, _constants(model), image[np.newaxis]).item()
 
 
 def _real_batch(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> np.ndarray:
@@ -193,8 +202,9 @@ def _real_batch(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -
 
 
 def hydra_forward(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> float:
-    """Summed prediction over a set of image slots; ``None`` slots are black."""
-    out = _forward(model.architecture, model.parameters, _real_batch(model, images))
+    """Summed prediction over a set of image slots (``None`` slots are black);
+    builds no backward state."""
+    out = _forward(model.architecture, _constants(model), _real_batch(model, images))
     return float(out.data.sum())
 
 

@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import setsum.autodiff
-from setsum.autodiff import (Tensor, backpropagate, concat_channels, conv, dropout_apply,
-                             fully_connected, global_avg_pool, parameter, relu, rows)
+from setsum.autodiff import (Tensor, _toposort, backpropagate, concat_channels, conv,
+                             dropout_apply, fully_connected, global_avg_pool, parameter, relu,
+                             rows)
 
 from oracles import conv_loop, fc_loop, finite_difference, relative_error
 
@@ -294,6 +295,24 @@ class TestBackpropagate:
         x = parameter(np.array([2.0]), "x")
         grads = backpropagate((x - 5.0).abs())
         npt.assert_array_equal(grads["x"], [-1.0])
+
+    def test_only_leaves_keep_gradients_and_second_pass_repeats(self):
+        rng = np.random.default_rng(14)
+        k = parameter(rng.normal(size=(3, 2, 3, 3)), "k")
+        w = parameter(rng.normal(size=(1, 5)), "w")
+        h = relu(conv(Tensor(rng.normal(size=(2, 2, 5, 5))), k))
+        h = concat_channels(h, Tensor(rng.normal(size=(2, 2, 5, 5))))
+        a, b = rows(fully_connected(global_avg_pool(h), w))
+        loss = (a + b - 1.0).abs() * (a * b)
+        first = backpropagate(loss)
+        nodes = _toposort(loss)
+        assert {n.name for n in nodes if n.grad is not None} == {"k", "w"}
+        assert all(n.grad is None for n in nodes if n.name is None)
+        assert all(first[n.name] is n.grad for n in nodes if n.name is not None)
+        second = backpropagate(loss)
+        assert first.keys() == second.keys()
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
 
 
 class TestProperties:

@@ -232,6 +232,23 @@ class TestCli:
         assert main(["train", str(cfg)]) == 2
         assert "manifest not found" in capsys.readouterr().err
 
+    def test_failed_generate_leaves_no_manifest(self, tmp_path, capsys):
+        # the failed run overwrites the first images before it gives up, so
+        # the earlier manifest must not survive to describe them
+        cfg = write_config_with(tmp_path, "data.image_extent=16,16")
+        assert main(["generate", str(cfg)]) == 0
+        dataset = tmp_path / "out" / "dataset"
+        first = _digest(dataset / "images" / "rec_00001.sstf")
+        failing = tmp_path / "failing.cfg"
+        failing.write_text(cfg.read_text().replace("data.blob_count_range=0,3",
+                                                   "data.blob_count_range=0,40"))
+        assert main(["generate", str(failing)]) == 2
+        assert "could not place" in capsys.readouterr().err
+        assert _digest(dataset / "images" / "rec_00001.sstf") != first
+        assert not (dataset / "manifest.csv").exists()
+        assert main(["train", str(cfg)]) == 2
+        assert "manifest not found" in capsys.readouterr().err
+
     def test_failed_command_keeps_config_echo(self, tmp_path, capsys):
         cfg = write_config_with(tmp_path, "train.epochs=1")
         assert main(["generate", str(cfg)]) == 0
@@ -378,9 +395,9 @@ class TestCli:
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["generate", str(cfg)]) == 0
-        d1 = _digest(tmp_path / "out" / "dataset" / "images" / "rec_00000.sstf")
+        d1 = _digest(tmp_path / "out" / "dataset" / "images" / "rec_00001.sstf")
         assert main(["generate", str(cfg), "--seed", "123"]) == 0
-        d2 = _digest(tmp_path / "out" / "dataset" / "images" / "rec_00000.sstf")
+        d2 = _digest(tmp_path / "out" / "dataset" / "images" / "rec_00001.sstf")
         assert d1 != d2
         echo = (tmp_path / "out" / "config_resolved.cfg").read_text()
         assert "seed=123" in echo
@@ -389,6 +406,6 @@ class TestCli:
         cfg = write_config(tmp_path)
         assert main(["generate", str(cfg)]) == 0
         echo_path = tmp_path / "out" / "config_resolved.cfg"
-        d1 = _digest(tmp_path / "out" / "dataset" / "images" / "rec_00000.sstf")
+        d1 = _digest(tmp_path / "out" / "dataset" / "images" / "rec_00001.sstf")
         assert main(["generate", str(echo_path)]) == 0
-        assert _digest(tmp_path / "out" / "dataset" / "images" / "rec_00000.sstf") == d1
+        assert _digest(tmp_path / "out" / "dataset" / "images" / "rec_00001.sstf") == d1

@@ -1,5 +1,6 @@
 import gc
 import struct
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from setsum.data import SyntheticConfig, generate_dataset, load_split
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
                               hydra_loss, hydra_loss_replicated, load_model, predict,
                               save_model)
+from setsum.regressor import _forward as regressor_forward
 from setsum.trainer import infer
 
 TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
@@ -155,6 +157,49 @@ class TestHydraForward:
             hydra_forward(model, [])
 
 
+@pytest.mark.parametrize("arch", [TINY, TINY_3D, replace(TINY, dropout_rate=0.5),
+                                  replace(TINY_3D, dropout_rate=0.5)],
+                         ids=["2d", "3d", "2d-dropout", "3d-dropout"])
+class TestGradFreeForward:
+    """predict and hydra_forward run on the parameters as constants: the same
+    bits as the trainable forward, with no backward state."""
+
+    @staticmethod
+    def check(monkeypatch, model, images, call, expected):
+        # parameters hold gradients from a training pass; the call must leave
+        # them alone and build one forward graph with no closure in it
+        grads = backpropagate(hydra_loss(model, images, 1.0))
+        before = {name: g.copy() for name, g in grads.items()}
+        outputs = []
+
+        def forward(*args, **kwargs):
+            outputs.append(regressor_forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr("setsum.regressor._forward", forward)
+        value = call()
+        monkeypatch.undo()
+        assert value == expected
+        assert len(outputs) == 1
+        assert all(n._backward is None for n in _toposort(outputs[0]))
+        for name, p in model.parameters.items():
+            assert p.grad is grads[name] and np.array_equal(p.grad, before[name]), name
+
+    def test_predict(self, arch, monkeypatch):
+        model = build_base_regressor(arch)
+        img = np.random.default_rng(14).uniform(size=arch.input_shape)
+        expected = regressor_forward(arch, model.parameters, img[np.newaxis]).item()
+        self.check(monkeypatch, model, [img], lambda: predict(model, img), expected)
+
+    def test_hydra_forward(self, arch, monkeypatch):
+        model = build_base_regressor(arch)
+        rng = np.random.default_rng(15)
+        images = [rng.uniform(size=arch.input_shape), None, rng.uniform(size=arch.input_shape)]
+        batch = np.stack([images[0], images[2]])
+        expected = float(regressor_forward(arch, model.parameters, batch).data.sum())
+        self.check(monkeypatch, model, images, lambda: hydra_forward(model, images), expected)
+
+
 def identity_scalar_model():
     """f(x) = x for non-negative 1x1x1 inputs: single 1x1 conv and unit fc weight."""
     cfg = ArchitectureConfig(input_shape=(1, 1, 1), conv_blocks=((1, 1),),
@@ -268,6 +313,36 @@ class TestHydraLoss:
         assert grads.keys() == model.parameters.keys()
         for name, g in grads.items():
             assert not g.any(), name
+
+    def test_second_pass_same_gradients_and_no_intermediate_kept(self):
+        rng = np.random.default_rng(13)
+        model = build_base_regressor(TINY_3D)
+        images = [rng.uniform(size=TINY_3D.input_shape), None,
+                  rng.uniform(size=TINY_3D.input_shape)]
+        node = hydra_loss(model, images, 3.0, "mse")
+        first = {name: g.copy() for name, g in backpropagate(node).items()}
+        assert all(n.grad is None for n in _toposort(node) if n.name is None)
+        second = backpropagate(node)
+        _, ref = hydra_loss_replicated(model, images, 3.0, "mse")
+        assert first.keys() == second.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(first[name], second[name]), name
+            npt.assert_allclose(second[name], ref[name], atol=1e-10)
+
+    def test_backward_peak_memory_3d_set(self):
+        # default model, 3 real 12^3 volumes and a black slot: holding every
+        # node's gradient from the start to the end of the pass peaks at
+        # 30.5 MiB traced, dropping each one once its closure has run at 25.2 MiB
+        model = build_base_regressor(ArchitectureConfig(input_shape=(1, 12, 12, 12), seed=3))
+        rng = np.random.default_rng(40)
+        images = [rng.uniform(size=(1, 12, 12, 12)) for _ in range(3)] + [None]
+        tracemalloc.start()
+        try:
+            backpropagate(hydra_loss(model, images, 6.0, "mse"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20, peak
 
     def test_finished_graph_freed_without_cycle_collector(self):
         # a graph that is a reference cycle, with the im2col columns or
