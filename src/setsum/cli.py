@@ -58,10 +58,10 @@ def _parse_args(argv):
 
 
 def _manifest_path(config: RunConfig) -> Path:
-    explicit = config.values["data.manifest"]
+    explicit = config["data.manifest"]
     if explicit is not None:
         return Path(explicit)
-    return Path(config.output_dir) / "dataset" / "manifest.csv"
+    return Path(config["output_dir"]) / "dataset" / "manifest.csv"
 
 
 def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
@@ -69,20 +69,20 @@ def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path} (run `setsum generate` first "
                           f"or set data.manifest)")
-    return data_mod.read_manifest(path, label_kind=config.values["data.label_kind"])
+    return data_mod.read_manifest(path, label_kind=config["data.label_kind"])
 
 
 def _echo_config(config: RunConfig) -> None:
     """Write the resolved config to ``output_dir``.  Commands call it just
     before writing their outputs, so one that fails leaves the echo of the
     run whose artifacts the directory holds."""
-    out = Path(config.output_dir)
+    out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out / "config_resolved.cfg", config_text(config).encode("utf-8"))
 
 
 def _build_or_resume(config: RunConfig):
-    init = config.values["train.init_model"]
+    init = config["train.init_model"]
     if init is not None:
         if not Path(init).is_file():
             raise ConfigError(f"train.init_model not found: {init}")
@@ -101,14 +101,13 @@ def _build_or_resume(config: RunConfig):
 
 def cmd_generate(config: RunConfig, args) -> int:
     _echo_config(config)
-    out_dir = Path(config.output_dir) / "dataset"
+    out_dir = Path(config["output_dir"]) / "dataset"
     manifest = data_mod.generate_dataset(
-        out_dir, config.synthetic_config(),
-        config.values["data.num_train"], config.values["data.num_val"],
-        config.values["data.num_test"],
-        crop_extent=config.values["data.crop_extent"],
-        rescale=config.values["data.rescale"],
-        label_kind=config.values["data.label_kind"])
+        out_dir, config.synthetic,
+        config["data.num_train"], config["data.num_val"], config["data.num_test"],
+        crop_extent=config["data.crop_extent"],
+        rescale=config["data.rescale"],
+        label_kind=config["data.label_kind"])
     print(f"generated {len(manifest.records)} records under {out_dir}")
     return EXIT_OK
 
@@ -116,13 +115,13 @@ def cmd_generate(config: RunConfig, args) -> int:
 def cmd_train(config: RunConfig, args) -> int:
     manifest = _load_manifest(config)
     model = _build_or_resume(config)
-    train_config = config.train_config()
+    train_config = config.train
     started = time.perf_counter()
     model, history = train(model, manifest, train_config,
                            np.random.default_rng([config.seed, 3]))
     elapsed = time.perf_counter() - started
     _echo_config(config)
-    out_dir = Path(config.output_dir) / "train"
+    out_dir = Path(config["output_dir"]) / "train"
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.ssrm")
     data_mod.write_csv(out_dir / "history.csv", ["epoch", "train_loss", "val_mse"],
@@ -136,7 +135,7 @@ def cmd_train(config: RunConfig, args) -> int:
 
 def cmd_eval(config: RunConfig, args) -> int:
     manifest = _load_manifest(config)
-    model_path = Path(args.model) if args.model else Path(config.output_dir) / "train" / "model.ssrm"
+    model_path = Path(args.model or Path(config["output_dir"]) / "train" / "model.ssrm")
     if not model_path.is_file():
         raise ConfigError(f"model not found: {model_path}")
     model = load_model(model_path)
@@ -146,7 +145,7 @@ def cmd_eval(config: RunConfig, args) -> int:
     predictions = infer(model, manifest, "test")
     truths = [manifest.label_of(r) for r in records]
     _echo_config(config)
-    out_dir = Path(config.output_dir) / "eval"
+    out_dir = Path(config["output_dir"]) / "eval"
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(out_dir / "predictions.csv", ["path", "truth", "prediction"],
                        zip((r.path for r in records), truths, predictions))
@@ -159,17 +158,16 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 def cmd_curve(config: RunConfig, args) -> int:
     manifest = _load_manifest(config)
-    sizes = config.values["curve.sizes"]
-    methods = config.values["curve.methods"]
-    arch = config.architecture(model_seed=0)  # reseeded per job
+    sizes = config["curve.sizes"]
+    methods = config["curve.methods"]
     started = time.perf_counter()
     results = learning_curve_experiment(
-        manifest, sizes, methods, config.values["curve.num_seeds"],
-        arch=arch, config=config.curve, master_seed=config.seed,
+        manifest, sizes, methods, config["curve.num_seeds"],
+        arch=config.arch, config=config.curve, master_seed=config.seed,
         jobs=args.jobs)
     elapsed = time.perf_counter() - started
     _echo_config(config)
-    out_dir = Path(config.output_dir) / "curve"
+    out_dir = Path(config["output_dir"]) / "curve"
     out_dir.mkdir(parents=True, exist_ok=True)
     write_job_csv(out_dir / "curve_jobs.csv", results)
     write_aggregate_csv(out_dir / "curve_aggregate.csv", results)

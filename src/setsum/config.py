@@ -9,11 +9,11 @@ Values use the syntax shared with the model file (see :mod:`setsum.data`;
 floats must be finite).  The module configs are built here, once, so each
 value they check is rejected before any command writes, and so is a curve
 grid that fails :func:`setsum.trainer.check_curve_grid` or a
-``curve.methods`` entry or ``curve.epochs`` that ``TrainConfig`` rejects;
-this module checks only what ties keys together, and that the split sizes
-``data.num_*``, which no module config holds, are non-negative.
-``train.batch_size`` is
-the baseline and mixup batch (a setsum step is one set of ``train.n``), and
+``curve.methods`` entry or ``curve.epochs`` that ``TrainConfig`` rejects.
+This module checks what ties keys together; the only single keys it checks
+are ``data.label_kind`` and the split sizes ``data.num_*``, which no module
+config built at parse holds.  ``train.batch_size`` is the baseline and
+mixup batch (a setsum step is one set of ``train.n``), and
 ``augment.flip_axes=all`` flips every axis of ``data.image_extent``.
 """
 
@@ -26,7 +26,7 @@ from typing import Callable
 from .augment import AugmentationConfig
 from .data import (LABEL_KINDS, SyntheticConfig, format_value, parse_bool, parse_float,
                    parse_key_values, parse_list, parse_optional, parse_pair, parse_pair_list)
-from .regressor import LOSS_KINDS, ArchitectureConfig
+from .regressor import ArchitectureConfig
 from .trainer import TrainConfig, check_curve_grid
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "parse_config_file", "config_text"]
@@ -95,10 +95,6 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return self.values["seed"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.values["output_dir"]
 
     def synthetic_config(self) -> SyntheticConfig:
         return self.synthetic
@@ -202,8 +198,6 @@ def _validate(values: dict) -> None:
     if values["data.label_kind"] not in LABEL_KINDS:
         raise ConfigError(f"data.label_kind must be one of {LABEL_KINDS}, "
                           f"got {values['data.label_kind']!r}")
-    if values["train.loss"] not in LOSS_KINDS:
-        raise ConfigError(f"train.loss must be one of {LOSS_KINDS}, got {values['train.loss']!r}")
     for key in ("data.num_train", "data.num_val", "data.num_test"):
         if values[key] < 0:
             raise ConfigError(f"{key} must be non-negative, got {values[key]}")

@@ -1,7 +1,8 @@
 """Adadelta optimizer: adaptive per-dimension steps with no global learning rate.
 
 Keeps exponentially decayed accumulators of squared gradients E[g^2] and
-squared updates E[dx^2] per parameter:
+squared updates E[dx^2] per parameter, with the constants of Zeiler (2012,
+ADADELTA), rho = ``RHO`` = 0.95 and eps = ``EPSILON`` = 1e-6, in every run:
 
     E[g^2]  <- rho * E[g^2]  + (1 - rho) * g^2
     dx      = -(sqrt(E[dx^2] + eps) / sqrt(E[g^2] + eps)) * g
@@ -18,29 +19,23 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["AdadeltaState", "adadelta_step"]
+__all__ = ["RHO", "EPSILON", "AdadeltaState", "adadelta_step"]
+
+RHO = 0.95
+EPSILON = 1e-6
 
 
 @dataclass
 class AdadeltaState:
     """Per-parameter accumulators, created lazily as zeros on first use."""
 
-    rho: float = 0.95
-    epsilon: float = 1e-6
     sq_grad: dict[str, np.ndarray] = field(default_factory=dict)
     sq_delta: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def adadelta_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
                   state: AdadeltaState) -> None:
     """Apply one Adadelta update in place to every parameter named in ``grads``."""
-    rho, eps = state.rho, state.epsilon
     for name, g in grads.items():
         p = params[name]
         if g.shape != p.shape:
@@ -48,9 +43,9 @@ def adadelta_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
                              f"parameter {name!r} of shape {p.shape}")
         eg2 = state.sq_grad.setdefault(name, np.zeros_like(p.data))
         ed2 = state.sq_delta.setdefault(name, np.zeros_like(p.data))
-        eg2 *= rho
-        eg2 += (1.0 - rho) * g * g
-        delta = -(np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps)) * g
-        ed2 *= rho
-        ed2 += (1.0 - rho) * delta * delta
+        eg2 *= RHO
+        eg2 += (1.0 - RHO) * g * g
+        delta = -(np.sqrt(ed2 + EPSILON) / np.sqrt(eg2 + EPSILON)) * g
+        ed2 *= RHO
+        ed2 += (1.0 - RHO) * delta * delta
         p.data += delta

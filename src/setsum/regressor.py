@@ -152,15 +152,16 @@ def build_base_regressor(config: ArchitectureConfig) -> RegressorModel:
 
 
 def _forward(arch: ArchitectureConfig, params: dict[str, Tensor], batch: np.ndarray,
-             training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+             rng: np.random.Generator | None = None) -> Tensor:
     """Build the forward graph for a batch of images, shape (batch, *input_shape);
-    returns the (batch, 1) output node."""
+    returns the (batch, 1) output node.  Dropout runs only when ``rng`` is
+    passed (a training step) and the architecture's rate is positive."""
     x = Tensor(batch)
     if x.shape[1:] != arch.input_shape:
         raise ValueError(f"input shape {x.shape[1:]} does not match "
                          f"architecture input {arch.input_shape}")
     rate = arch.dropout_rate
-    use_dropout = training and rate is not None and rate > 0.0
+    use_dropout = rng is not None and rate is not None and rate > 0.0
     block_out: list[Tensor] = []
     for i in range(1, len(arch.conv_blocks) + 1):
         inp = x
@@ -216,17 +217,16 @@ def _loss_node(total: Tensor, label: float, loss_kind: str) -> Tensor:
 
 
 def hydra_loss(model: RegressorModel, images: Sequence[Optional[np.ndarray]], label: float,
-               loss_kind: str = "mse", training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
+               loss_kind: str = "mse", rng: np.random.Generator | None = None) -> Tensor:
     """Grouped loss node L(sum of slot predictions, label) for one set.
 
     The set's real slots go through the network as one batch, so every
     layer is one op for the whole set and each parameter's gradient
     accumulates across the branches; the per-slot predictions are then
-    summed inside the graph (the hydra's summing layer).
+    summed inside the graph (the hydra's summing layer).  Dropout runs only
+    in a step that passes its generator as ``rng``.
     """
-    out = _forward(model.architecture, model.parameters, _real_batch(model, images),
-                   training=training, rng=rng)
+    out = _forward(model.architecture, model.parameters, _real_batch(model, images), rng)
     heads = rows(out)
     return _loss_node(sum(heads[1:], heads[0]), label, loss_kind)
 

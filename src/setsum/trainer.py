@@ -36,7 +36,7 @@ from .autodiff import backpropagate
 from .data import DatasetManifest, load_split, write_csv
 from .metrics import evaluate_pairs
 from .optim import AdadeltaState, adadelta_step
-from .regressor import (ArchitectureConfig, RegressorModel, build_base_regressor,
+from .regressor import (LOSS_KINDS, ArchitectureConfig, RegressorModel, build_base_regressor,
                         hydra_loss, predict)
 
 __all__ = [
@@ -62,7 +62,6 @@ class TrainingDiverged(RuntimeError):
 
     def __init__(self, epoch: int, where: str):
         super().__init__(f"non-finite {where} at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ class TrainConfig:
             raise ValueError("n and batch_size must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if self.loss_kind not in LOSS_KINDS:
+            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.method == "mixup" and self.batch_size < 2:
             raise ValueError(f"mixup needs batch_size >= 2 to pair each image with "
                              f"another, got {self.batch_size}")
@@ -176,8 +177,8 @@ def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
     for epoch in range(config.epochs):
         losses = []
         for sets in _epoch_steps(train_imgs, train_labels, config, rng):
-            nodes = [hydra_loss(model, slots, label, config.loss_kind, training=True,
-                                rng=rng) for slots, label in sets]
+            nodes = [hydra_loss(model, slots, label, config.loss_kind, rng)
+                     for slots, label in sets]
             loss = sum(nodes[1:], nodes[0]) * (1.0 / len(nodes))
             losses.append(_check_finite(loss.item(), epoch, "training loss"))
             adadelta_step(model.parameters, backpropagate(loss), state)

@@ -22,7 +22,8 @@ from setsum.cli import main
 from setsum.data import SyntheticConfig, generate_dataset
 from setsum.metrics import icc, williams_test
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
-                              hydra_loss, hydra_loss_replicated, predict, _forward)
+                              hydra_loss, hydra_loss_replicated, predict, _constants,
+                              _forward)
 from setsum.trainer import CurveJobResult, TrainConfig, train, write_aggregate_csv
 
 from oracles import (correlation_triple, finite_difference, icc_two_way_table,
@@ -47,7 +48,8 @@ def test_criterion_01_gradient_correctness():
     h = 1e-5
 
     def loss_and_signs() -> tuple[float, list]:
-        out = _forward(model.architecture, model.parameters, image[None])
+        # constants sharing the parameter arrays: the same bits, no backward state
+        out = _forward(model.architecture, _constants(model), image[None])
         pre = [n for n in _toposort(out) if n.op == "conv"]
         diff = out - label
         return (diff * diff).item(), [t.data > 0.0 for t in pre]

@@ -89,7 +89,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("line, message", [
         ("data.label_kind=area", r"data.label_kind must be one of \('count', 'volume'\)"),
-        ("train.loss=huber", r"train.loss must be one of \('mse', 'mae'\)")],
+        ("train.loss=huber", r"train: loss_kind must be one of \('mse', 'mae'\), got 'huber'")],
         ids=["label_kind", "loss"])
     def test_unknown_kind_names_allowed_values(self, line, message):
         with pytest.raises(ConfigError, match=message):

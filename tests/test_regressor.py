@@ -13,6 +13,7 @@ from setsum.data import SyntheticConfig, generate_dataset, load_split
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
                               hydra_loss, hydra_loss_replicated, load_model, predict,
                               save_model)
+from setsum.regressor import _constants
 from setsum.regressor import _forward as regressor_forward
 from setsum.trainer import infer
 
@@ -198,6 +199,40 @@ class TestGradFreeForward:
         batch = np.stack([images[0], images[2]])
         expected = float(regressor_forward(arch, model.parameters, batch).data.sum())
         self.check(monkeypatch, model, images, lambda: hydra_forward(model, images), expected)
+
+
+class TestDropoutFollowsGenerator:
+    """hydra_loss drops out exactly when a step passes its generator and the
+    architecture's rate is positive."""
+
+    @staticmethod
+    def images():
+        rng = np.random.default_rng(16)
+        return [rng.uniform(size=TINY.input_shape) for _ in range(3)]
+
+    def test_without_rng_is_the_grad_free_loss(self):
+        model = build_base_regressor(replace(TINY, dropout_rate=0.5))
+        images = self.images()
+        heads = regressor_forward(TINY, _constants(model), np.stack(images)).data[:, 0]
+        diff = heads[0] + heads[1] + heads[2] - 2.0
+        assert hydra_loss(model, images, 2.0).item() == diff * diff
+
+    def test_with_rng_draws_masks(self):
+        model = build_base_regressor(replace(TINY, dropout_rate=0.5))
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        hydra_loss(model, self.images(), 2.0, rng=rng)
+        assert rng.bit_generator.state != before
+
+    @pytest.mark.parametrize("rate", [None, 0.0])
+    def test_no_dropout_model_leaves_rng_alone(self, rate):
+        model = build_base_regressor(replace(TINY, dropout_rate=rate))
+        images = self.images()
+        rng = np.random.default_rng(18)
+        before = rng.bit_generator.state
+        with_rng = hydra_loss(model, images, 2.0, rng=rng).item()
+        assert rng.bit_generator.state == before
+        assert with_rng == hydra_loss(model, images, 2.0).item()
 
 
 def identity_scalar_model():

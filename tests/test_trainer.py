@@ -34,6 +34,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="method"):
             TrainConfig(epochs=1, method="magic", n=1, batch_size=1)
 
+    def test_unknown_loss_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"loss_kind must be one of \('mse', 'mae'\)"):
+            TrainConfig(epochs=1, loss_kind="huber")
+
     def test_mixup_needs_a_partner(self):
         # with a batch of one, every image would be mixed with itself
         with pytest.raises(ValueError, match="mixup needs batch_size >= 2"):
@@ -349,6 +353,11 @@ class TestLearningCurve:
         with pytest.raises(ValueError, match="method"):
             learning_curve_experiment(dataset, [4], ["magic"], 2, arch=TINY_ARCH,
                                       config=cfg, master_seed=0, jobs=2)
+        # an unknown loss fails when its config is built, before the call
+        with pytest.raises(ValueError, match="loss_kind"):
+            learning_curve_experiment(dataset, [4], ["baseline"], 2, arch=TINY_ARCH,
+                                      config=replace(cfg, loss_kind="huber"), master_seed=0,
+                                      jobs=2)
         assert created == []
 
     @pytest.mark.parametrize("jobs, seeds, cpus, workers", [
