@@ -20,15 +20,17 @@ and the fully connected layer act row by row.  Conv kernels have odd
 extents k, and a conv pads each spatial axis by k // 2 zeros per side, so
 its output keeps the input's extents.  One im2col routine does every conv
 GEMM: the forward pass, and the input gradient as the same correlation
-applied to the output gradient.  It copies a read-only strided window view
-of the padded input into columns in blocks of at most ``_BLOCK_BYTES`` per
-image, one GEMM per block.  A conv node keeps its columns for the kernel
-gradient only when they are one block (every conv of the default model at
-16x16); otherwise it keeps the window view, 27 times smaller for a 3x3x3
-kernel, and rebuilds the blocks.  The budget is a constant, so no result
-depends on the machine's caches or the batch size.  Everything is float64
-and single-threaded per graph; identical inputs give bit-identical forward
-and backward results.
+applied to the output gradient.  It has one path for every kernel and
+size: it zero-pads the input (a 1x1 kernel pads by 0, a plain copy) and
+copies a read-only strided window view of it into columns in blocks of at
+most ``_BLOCK_BYTES`` per image, one GEMM per block; only the block
+splitter reads that budget.  A conv node keeps the columns for the kernel
+gradient when one block covers every position (every conv of the default
+model at 16x16); otherwise it keeps the window view, 27 times smaller for
+a 3x3x3 kernel, and rebuilds the blocks.  The budget is a constant, so no
+result depends on the machine's caches or the batch size.  Everything is
+float64 and single-threaded per graph; identical inputs give bit-identical
+forward and backward results.
 """
 
 from __future__ import annotations
@@ -180,11 +182,12 @@ def conv(x: Tensor, kernel: Tensor) -> Tensor:
     spatial extents; the stride is 1 and each spatial axis of the input is
     padded by k // 2 zeros per side, so the output keeps the input's spatial
     extents.  The whole batch goes through :func:`_correlate`.  The node
-    keeps the im2col columns when they are one block, else only the padded
-    input's window view, and the kernel gradient sums one GEMM per block of
-    them.  The input gradient is the same routine applied to the output
-    gradient with the flipped, channel-swapped kernel, whose extents, and so
-    pads, are the same.  There is no bias: a zero input gives a zero output.
+    keeps what it returns: the im2col columns when one block covers every
+    output position, else the padded input's window view, and the kernel
+    gradient sums one GEMM per block of them.  The input gradient is the same
+    routine applied to the output gradient with the flipped, channel-swapped
+    kernel, whose extents, and so pads, are the same.  There is no bias: a
+    zero input gives a zero output.
     """
     d = kernel.ndim - 2
     if d not in (2, 3):
@@ -221,30 +224,26 @@ def _correlate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c_in, *spatial) with ``w`` (c_out, c_in, *taps), taps odd, one GEMM per
     block of im2col columns.
 
-    Spatial axis i of ``a`` is first widened by taps[i] // 2 zeros per side.
-    The windows are one read-only strided view of that input, already in
-    column order (batch, c_in, *taps, *positions): tap and position offsets
-    both step by the input's spatial strides, so the windows overlap and the
-    view must never be written.  Returns the (batch, c_out, *spatial) output
-    and the (batch, c_in * taps, positions) columns when they fit one block,
-    else the output, built one GEMM per block, and the window view.
+    Spatial axis i of ``a`` is always copied into a zero array widened by
+    taps[i] // 2 per side.  The windows are one read-only strided view of
+    that copy, already in column order (batch, c_in, *taps, *positions): tap
+    and position offsets both step by its spatial strides, so the windows
+    overlap and the view must never be written.  Each block from
+    :func:`_column_blocks` is one GEMM into its slice of the output.  Returns
+    the (batch, c_out, *spatial) output and the (batch, c_in * taps,
+    positions) columns when the loop ran once, else the window view.
     """
     taps, ext = w.shape[2:], a.shape[2:]
-    if max(taps) > 1:
-        wide = np.zeros(a.shape[:2] + tuple(e + k - 1 for e, k in zip(ext, taps)))
-        wide[(...,) + tuple(slice(k // 2, k // 2 + e) for k, e in zip(taps, ext))] = a
-        a = wide
-    win = as_strided(a, a.shape[:2] + taps + ext, a.strides + a.strides[2:],
+    wide = np.zeros(a.shape[:2] + tuple(e + k - 1 for e, k in zip(ext, taps)))
+    wide[(...,) + tuple(slice(k // 2, k // 2 + e) for k, e in zip(taps, ext))] = a
+    win = as_strided(wide, a.shape[:2] + taps + ext, wide.strides + wide.strides[2:],
                      writeable=False)
     w_mat = w.reshape(w.shape[0], -1)
-    if 8 * win.size <= _BLOCK_BYTES * a.shape[0]:
-        col = win.reshape(a.shape[0], -1, math.prod(ext))
-        out = np.matmul(w_mat, col)
-        return out.reshape(out.shape[:2] + ext), col
     out = np.empty((a.shape[0], w.shape[0], math.prod(ext)))
     for pos, col in _column_blocks(win):
         np.matmul(w_mat, col, out=out[..., pos])
-    return out.reshape(out.shape[:2] + ext), win
+    kept = col if col.shape[2] == out.shape[2] else win
+    return out.reshape(out.shape[:2] + ext), kept
 
 
 def _column_blocks(win: np.ndarray):

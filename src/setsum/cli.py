@@ -39,13 +39,7 @@ def _parse_args(argv):
         prog="setsum",
         description="Count/volume regression with set-sum label recombination")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "generate": "generate a synthetic dataset and manifest",
-        "train": "train one model on the generated dataset",
-        "eval": "evaluate a trained model on the test split",
-        "curve": "run the learning-curve experiment grid",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a key=value config file")
         p.add_argument("--seed", type=int, default=None,
@@ -57,15 +51,10 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _manifest_path(config: RunConfig) -> Path:
-    explicit = config["data.manifest"]
-    if explicit is not None:
-        return Path(explicit)
-    return Path(config["output_dir"]) / "dataset" / "manifest.csv"
-
-
 def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
-    path = _manifest_path(config)
+    explicit = config["data.manifest"]
+    path = (Path(config["output_dir"]) / "dataset" / "manifest.csv" if explicit is None
+            else Path(explicit))
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path} (run `setsum generate` first "
                           f"or set data.manifest)")
@@ -144,12 +133,12 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise ConfigError("manifest has no test records")
     predictions = infer(model, manifest, "test")
     truths = [manifest.label_of(r) for r in records]
+    report = evaluate_pairs(truths, predictions)
     _echo_config(config)
     out_dir = Path(config["output_dir"]) / "eval"
     out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(out_dir / "predictions.csv", ["path", "truth", "prediction"],
                        zip((r.path for r in records), truths, predictions))
-    report = evaluate_pairs(truths, predictions)
     data_mod.write_csv(out_dir / "metrics.csv", ["mse", "mae", "icc", "n"],
                        [(report.mse, report.mae, report.icc, report.n)])
     print(report)
@@ -178,10 +167,10 @@ def cmd_curve(config: RunConfig, args) -> int:
 
 
 _COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "curve": cmd_curve,
+    "generate": ("generate a synthetic dataset and manifest", cmd_generate),
+    "train": ("train one model on the generated dataset", cmd_train),
+    "eval": ("evaluate a trained model on the test split", cmd_eval),
+    "curve": ("run the learning-curve experiment grid", cmd_curve),
 }
 
 
@@ -189,7 +178,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         config = parse_config_file(args.config, seed_override=args.seed)
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command][1](config, args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -241,29 +241,20 @@ def _derive_seed(*key: int) -> int:
 
 @dataclass(frozen=True)
 class _CurveJob:
-    manifest: DatasetManifest
-    train_indices: tuple[int, ...]
-    arch: ArchitectureConfig
+    manifest: DatasetManifest  # the size's subsample, then every val and test record
+    arch: ArchitectureConfig  # seeded for this job
     config: TrainConfig
     rep: int
-    model_seed: int
     rng_key: tuple[int, ...]
 
 
 def _run_curve_job(job: _CurveJob) -> CurveJobResult:
-    pool = job.manifest.split_records("train")
-    records = [pool[i] for i in job.train_indices]
-    records += job.manifest.split_records("val")
-    records += job.manifest.split_records("test")
-    manifest = DatasetManifest(records, label_kind=job.manifest.label_kind,
-                               base_dir=job.manifest.base_dir)
-    model = build_base_regressor(replace(job.arch, seed=job.model_seed))
-    model, _ = train(model, manifest, job.config, np.random.default_rng(list(job.rng_key)))
-    predictions = infer(model, manifest, "test")
-    truths = [manifest.label_of(r) for r in manifest.split_records("test")]
-    report = evaluate_pairs(truths, predictions)
-    return CurveJobResult(len(job.train_indices), job.config.method, job.rep, report.mse,
-                          report.icc)
+    model, _ = train(build_base_regressor(job.arch), job.manifest, job.config,
+                     np.random.default_rng(list(job.rng_key)))
+    truths = [job.manifest.label_of(r) for r in job.manifest.split_records("test")]
+    report = evaluate_pairs(truths, infer(model, job.manifest, "test"))
+    return CurveJobResult(len(job.manifest.split_records("train")), job.config.method,
+                          job.rep, report.mse, report.icc)
 
 
 def check_curve_grid(sizes: Sequence[int], methods: Sequence[str], num_seeds: int) -> None:
@@ -299,21 +290,24 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
     ``jobs`` must be at least 1.
     """
     check_curve_grid(sizes, methods, num_seeds)
-    pool_labels = [manifest.label_of(r) for r in manifest.split_records("train")]
+    pool = manifest.split_records("train")
+    pool_labels = [manifest.label_of(r) for r in pool]
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    held_out = manifest.split_records("val") + manifest.split_records("test")
     job_list = []
     for size in sizes:
         indices = stratified_subsample(pool_labels, size,
                                        np.random.default_rng([master_seed, 101, size]))
+        subset = DatasetManifest([pool[i] for i in indices] + held_out,
+                                 label_kind=manifest.label_kind, base_dir=manifest.base_dir)
         for mi, method in enumerate(methods):
             cfg = replace(config, method=method)
             for rep in range(num_seeds):
                 job_list.append(_CurveJob(
-                    manifest=manifest, train_indices=tuple(indices), arch=arch,
-                    config=cfg, rep=rep,
-                    model_seed=_derive_seed(master_seed, 7, size, mi, rep),
-                    rng_key=(master_seed, 8, size, mi, rep)))
+                    manifest=subset,
+                    arch=replace(arch, seed=_derive_seed(master_seed, 7, size, mi, rep)),
+                    config=cfg, rep=rep, rng_key=(master_seed, 8, size, mi, rep)))
     workers = min(jobs, len(job_list), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,

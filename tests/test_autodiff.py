@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import setsum.autodiff
-from setsum.autodiff import (Tensor, _toposort, backpropagate, concat_channels, conv,
-                             dropout_apply, fully_connected, global_avg_pool, parameter, relu,
-                             rows)
+from setsum.autodiff import (Tensor, _correlate, _toposort, backpropagate, concat_channels,
+                             conv, dropout_apply, fully_connected, global_avg_pool, parameter,
+                             relu, rows)
 
 from oracles import conv_loop, fc_loop, finite_difference, relative_error
 
@@ -67,6 +67,33 @@ class TestConv:
             tracemalloc.stop()
         assert out.shape == (1, 32, 12, 12, 12)
         assert held < 2 * 2**20, held
+
+
+class TestKeptState:
+    """_correlate returns its im2col columns when one block covers every
+    output position, else the window view of the padded input."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_block_returns_columns(self, k):
+        # 8 channels at 16x16: at most 147 KB of columns per image, one block
+        rng = np.random.default_rng(24 + k)
+        a, w = rng.normal(size=(4, 8, 16, 16)), rng.normal(size=(6, 8, k, k))
+        out, kept = _correlate(a, w)
+        assert out.shape == (4, 6, 16, 16)
+        assert kept.shape == (4, 8 * k * k, 16 * 16)
+        assert not np.shares_memory(kept, a)
+        npt.assert_array_equal(np.matmul(w.reshape(6, -1), kept), out.reshape(4, 6, -1))
+
+    def test_multi_block_returns_window_view(self, monkeypatch):
+        monkeypatch.setattr(setsum.autodiff, "_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(26)
+        a, w = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 3, 3))
+        out, kept = _correlate(a, w)
+        assert out.shape == (2, 2, 5, 4)
+        assert kept.shape == (2, 3, 3, 3, 5, 4)
+        assert not kept.flags.writeable
+        padded = np.pad(a, [(0, 0), (0, 0), (1, 1), (1, 1)])
+        npt.assert_array_equal(kept[..., 1, 2, 4, 3], padded[..., 5, 5])
 
 
 class ConvBatchChecks:

@@ -259,6 +259,19 @@ class TestCli:
         echo = (tmp_path / "out" / "config_resolved.cfg").read_text().splitlines()
         assert "train.epochs=1" in echo
 
+    def test_eval_of_one_test_record_exits_2_before_writing(self, tmp_path, capsys):
+        cfg = write_config_with(tmp_path, "data.num_test=1")
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 0
+        echo_path = tmp_path / "out" / "config_resolved.cfg"
+        echo = echo_path.read_bytes()
+        failing = tmp_path / "failing.cfg"
+        failing.write_text(cfg.read_text().replace("train.epochs=3", "train.epochs=7"))
+        assert main(["eval", str(failing)]) == 2
+        assert "paired series needs at least 2 entries" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval").exists()
+        assert echo_path.read_bytes() == echo
+
     def test_manifest_path_outside_its_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         manifest = tmp_path / "out" / "dataset" / "manifest.csv"
