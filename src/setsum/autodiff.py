@@ -18,19 +18,18 @@ losses.  The network primitives take a leading batch axis, (batch,
 channels, *spatial), so one graph carries a whole set of images; pooling
 and the fully connected layer act row by row.  Conv kernels have odd
 extents k, and a conv pads each spatial axis by k // 2 zeros per side, so
-its output keeps the input's extents.  One im2col routine does every conv
-GEMM: the forward pass, and the input gradient as the same correlation
-applied to the output gradient.  It has one path for every kernel and
-size: it zero-pads the input (a 1x1 kernel pads by 0, a plain copy) and
-copies a read-only strided window view of it into columns in blocks of at
-most ``_BLOCK_BYTES`` per image, one GEMM per block; only the block
-splitter reads that budget.  A conv node keeps the columns for the kernel
-gradient when one block covers every position (every conv of the default
-model at 16x16); otherwise it keeps the window view, 27 times smaller for
-a 3x3x3 kernel, and rebuilds the blocks.  The budget is a constant, so no
-result depends on the machine's caches or the batch size.  Everything is
-float64 and single-threaded per graph; identical inputs give bit-identical
-forward and backward results.
+its output keeps the input's extents.  Conv is lowered to GEMMs by
+unfolding along every spatial axis but the first (memory-efficient
+convolution; Cho & Brand 2017): the zero-padded input is copied once into
+columns over the other axes' taps, and each first-axis tap is one GEMM on
+a contiguous slice of them.  The backward pass unfolds the output gradient
+the same way and takes both gradients from it, so a conv node keeps
+nothing but its parents.  Columns are built for whole images, as many as
+fit ``_BLOCK_BYTES`` and at least one, so a block is at most max(1 MiB,
+one image's columns), 4.6 MB for a 32-channel 12x12x12 gradient.  Each
+image gets its own GEMMs, so its output and input gradient depend neither
+on the machine's caches nor on its batch.  Everything is float64 and single-threaded per graph;
+identical inputs give bit-identical forward and backward results.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -55,7 +53,7 @@ __all__ = [
 
 _Scalar = (int, float, np.integer, np.floating)
 
-# Most bytes of im2col columns per image in one conv GEMM, sized to a 2 MiB L2.
+# Most bytes of conv columns in one block of whole images, sized to a 2 MiB L2.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -181,13 +179,12 @@ def conv(x: Tensor, kernel: Tensor) -> Tensor:
     ``kernel`` has layout (out_channels, in_channels, *spatial) with odd
     spatial extents; the stride is 1 and each spatial axis of the input is
     padded by k // 2 zeros per side, so the output keeps the input's spatial
-    extents.  The whole batch goes through :func:`_correlate`.  The node
-    keeps what it returns: the im2col columns when one block covers every
-    output position, else the padded input's window view, and the kernel
-    gradient sums one GEMM per block of them.  The input gradient is the same
-    routine applied to the output gradient with the flipped, channel-swapped
-    kernel, whose extents, and so pads, are the same.  There is no bias: a
-    zero input gives a zero output.
+    extents.  The forward pass is :func:`_tap_sum` over the input's
+    :func:`_tap_views`.  The backward pass unfolds the output gradient once:
+    the input gradient is the same tap sum with the flipped, channel-swapped
+    kernel, and first-axis kernel tap k0 - 1 - s is x @ view_s^T, flipped
+    and channel-swapped, as dW[o, c, t] = sum_u x[c, u] g_pad[o, u + k-1-t].
+    There is no bias: a zero input gives a zero output.
     """
     d = kernel.ndim - 2
     if d not in (2, 3):
@@ -201,62 +198,69 @@ def conv(x: Tensor, kernel: Tensor) -> Tensor:
     if any(k % 2 == 0 for k in kernel.shape[2:]):
         raise ValueError(f"conv: kernel spatial extents must be odd, got {kernel.shape[2:]}")
 
-    out_data, kept = _correlate(x.data, kernel.data)
+    taps = kernel.shape[2:]
+    out_data = np.empty((x.shape[0], kernel.shape[0]) + x.shape[2:])
+    out_mat = out_data.reshape(x.shape[0], kernel.shape[0], -1)
+    for b, views in _tap_views(x.data, taps):
+        _tap_sum(kernel.data, views, out_mat[b])
     out = _result(out_data, "conv", (x, kernel))
     if out.requires_grad:
+        flip = (slice(None),) * 2 + (slice(None, None, -1),) * d
         def _bw(g):
-            if kernel.requires_grad:
-                g_mat = g.reshape(g.shape[0], g.shape[1], -1)
-                # kept: (batch, c_in * taps, positions) columns, or the window view
-                blocks = [(slice(None), kept)] if kept.ndim == 3 else _column_blocks(kept)
-                for pos, col in blocks:
-                    kernel.grad += np.matmul(g_mat[..., pos], col.transpose(0, 2, 1)) \
-                        .sum(axis=0).reshape(kernel.shape)
-            if x.requires_grad:
-                flipped = np.flip(kernel.data, axis=tuple(range(2, d + 2))).swapaxes(0, 1)
-                x.grad += _correlate(g, flipped)[0]
+            flipped = kernel.data[flip].swapaxes(0, 1)
+            x_mat = x.data.reshape(x.shape[0], x.shape[1], -1)
+            for b, views in _tap_views(g, taps):
+                if x.requires_grad:
+                    x.grad[b] += _tap_sum(flipped, views).reshape(x.grad[b].shape)
+                if kernel.requires_grad:
+                    # (tap s, c_in, c_out * taps[1:]): kernel tap k0 - 1 - s, flipped
+                    dw = np.stack([np.matmul(x_mat[b], v.transpose(0, 2, 1)) for v in views])
+                    dw = dw.sum(axis=1).reshape(taps[:1] + x.shape[1:2] + kernel.shape[:1]
+                                                + taps[1:])
+                    kernel.grad += dw.swapaxes(0, 2)[flip]
         out._backward = _bw
     return out
 
 
-def _correlate(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded stride-1 cross-correlation of every item of ``a`` (batch,
-    c_in, *spatial) with ``w`` (c_out, c_in, *taps), taps odd, one GEMM per
-    block of im2col columns.
+def _tap_views(a: np.ndarray, taps: tuple[int, ...]):
+    """Yield (batch slice, views) per block of whole images of ``a`` (batch,
+    c, *spatial), zero-padded by taps[i] // 2 per side of spatial axis i.
 
-    Spatial axis i of ``a`` is always copied into a zero array widened by
-    taps[i] // 2 per side.  The windows are one read-only strided view of
-    that copy, already in column order (batch, c_in, *taps, *positions): tap
-    and position offsets both step by its spatial strides, so the windows
-    overlap and the view must never be written.  Each block from
-    :func:`_column_blocks` is one GEMM into its slice of the output.  Returns
-    the (batch, c_out, *spatial) output and the (batch, c_in * taps,
-    positions) columns when the loop ran once, else the window view.
+    A block holds as many images as fit ``_BLOCK_BYTES`` of columns, at least
+    one: the padded input unfolded over taps[1:], with positions over the
+    whole padded first axis, copied into one reused buffer.  ``views[k]``,
+    first-axis tap k's columns, is then a contiguous slice of it, valid until
+    the next block is drawn.
     """
-    taps, ext = w.shape[2:], a.shape[2:]
+    ext = a.shape[2:]
     wide = np.zeros(a.shape[:2] + tuple(e + k - 1 for e, k in zip(ext, taps)))
     wide[(...,) + tuple(slice(k // 2, k // 2 + e) for k, e in zip(taps, ext))] = a
-    win = as_strided(wide, a.shape[:2] + taps + ext, wide.strides + wide.strides[2:],
-                     writeable=False)
-    w_mat = w.reshape(w.shape[0], -1)
-    out = np.empty((a.shape[0], w.shape[0], math.prod(ext)))
-    for pos, col in _column_blocks(win):
-        np.matmul(w_mat, col, out=out[..., pos])
-    kept = col if col.shape[2] == out.shape[2] else win
-    return out.reshape(out.shape[:2] + ext), kept
+    # tap and position offsets both step by wide's strides: the windows
+    # overlap, so the view must never be written
+    win = np.ndarray(a.shape[:2] + taps[1:] + wide.shape[2:3] + ext[1:], buffer=wide,
+                     strides=wide.strides[:2] + wide.strides[3:] + wide.strides[2:])
+    row = math.prod(ext[1:])
+    n = ext[0] * row
+    step = max(1, _BLOCK_BYTES // (8 * math.prod(win.shape[1:])))
+    buf = np.empty((min(step, a.shape[0]),) + win.shape[1:])
+    for start in range(0, a.shape[0], step):
+        block = buf[:a.shape[0] - start]
+        np.copyto(block, win[start:start + step])
+        cols = block.reshape(block.shape[0], -1, wide.shape[2] * row)
+        yield slice(start, start + step), [cols[..., k * row:k * row + n]
+                                           for k in range(taps[0])]
 
 
-def _column_blocks(win: np.ndarray):
-    """Yield (flat output positions, (batch, c_in * taps, positions) columns)
-    per block of the window view ``win``: as many whole rows of the first
-    output axis as fit ``_BLOCK_BYTES`` of columns per image, at least one."""
-    d = win.ndim // 2 - 1
-    n0, rest = win.shape[2 + d], math.prod(win.shape[3 + d:])
-    step = max(1, _BLOCK_BYTES * n0 * win.shape[0] // (8 * win.size))
-    for r in range(0, n0, step):
-        block = win[(slice(None),) * (2 + d) + (slice(r, r + step),)]
-        col = block.reshape(win.shape[0], -1, block.shape[2 + d] * rest)
-        yield slice(r * rest, r * rest + col.shape[2]), col
+def _tap_sum(w: np.ndarray, views: list[np.ndarray], out: np.ndarray | None = None):
+    """The (images, c_out, positions) correlation of one block with ``w``
+    (c_out, c_in, *taps): one GEMM per first-axis tap k, of w[:, :, k] with
+    ``views[k]`` from :func:`_tap_views`, summed in tap order into ``out``
+    (a new array when None)."""
+    w_taps = w.swapaxes(0, 2).swapaxes(1, 2).reshape(w.shape[2], w.shape[0], -1)
+    out = np.matmul(w_taps[0], views[0], out=out)
+    for w_k, view in zip(w_taps[1:], views[1:]):
+        out += np.matmul(w_k, view)
+    return out
 
 
 def relu(x: Tensor) -> Tensor:

@@ -286,14 +286,18 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
     a fixed split).  Jobs may run in parallel, on at most ``jobs`` workers
     and never more workers than jobs or CPUs; results are identical and in
     identical order regardless of ``jobs``.  The grid must pass
-    :func:`check_curve_grid`, every size must fit the training pool, and
-    ``jobs`` must be at least 1.
+    :func:`check_curve_grid`, every size must fit the training pool, the
+    test split must hold the 2 records a job's metrics need, and ``jobs``
+    must be at least 1.
     """
     check_curve_grid(sizes, methods, num_seeds)
     pool = manifest.split_records("train")
     pool_labels = [manifest.label_of(r) for r in pool]
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    num_test = len(manifest.split_records("test"))
+    if num_test < 2:
+        raise ValueError(f"learning curve needs at least 2 test records, got {num_test}")
     held_out = manifest.split_records("val") + manifest.split_records("test")
     job_list = []
     for size in sizes:

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import setsum.autodiff
-from setsum.autodiff import (Tensor, _correlate, _toposort, backpropagate, concat_channels,
+from setsum.autodiff import (Tensor, _toposort, backpropagate, concat_channels,
                              conv, dropout_apply, fully_connected, global_avg_pool, parameter,
                              relu, rows)
 
@@ -53,9 +53,9 @@ class TestConv:
             conv(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))))
 
     def test_multi_block_node_keeps_no_columns(self):
-        # 24 -> 32 channels, 3x3x3 at 12^3: 8.96 MB of im2col columns, which
-        # the node must not keep; it holds its output (0.44 MB) and the
-        # padded input under its window view (0.53 MB)
+        # 24 -> 32 channels, 3x3x3 at 12^3: 3.48 MB of columns unfolded over
+        # the last two axes, which the node must not keep; it holds its
+        # output (0.44 MB)
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(1, 24, 12, 12, 12)))
         kernel = parameter(rng.normal(size=(32, 24, 3, 3, 3)), "kernel")
@@ -68,32 +68,51 @@ class TestConv:
         assert out.shape == (1, 32, 12, 12, 12)
         assert held < 2 * 2**20, held
 
+    def test_node_keeps_only_its_parents(self):
+        # 8 -> 6 channels at 16x16, batch 4: one block of 221 KB of columns
+        # and an 83 KB padded input, neither of which the node may keep
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(4, 8, 16, 16)))
+        kernel = parameter(rng.normal(size=(6, 8, 3, 3)), "kernel")
+        tracemalloc.start()
+        try:
+            out = conv(x, kernel)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < out.data.nbytes + 16 * 2**10, held
+        kept = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(isinstance(v, np.ndarray) for v in kept)
+        assert [v for v in kept if isinstance(v, Tensor)] in ([x, kernel], [kernel, x])
 
-class TestKeptState:
-    """_correlate returns its im2col columns when one block covers every
-    output position, else the window view of the padded input."""
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_one_block_returns_columns(self, k):
-        # 8 channels at 16x16: at most 147 KB of columns per image, one block
-        rng = np.random.default_rng(24 + k)
-        a, w = rng.normal(size=(4, 8, 16, 16)), rng.normal(size=(6, 8, k, k))
-        out, kept = _correlate(a, w)
-        assert out.shape == (4, 6, 16, 16)
-        assert kept.shape == (4, 8 * k * k, 16 * 16)
-        assert not np.shares_memory(kept, a)
-        npt.assert_array_equal(np.matmul(w.reshape(6, -1), kept), out.reshape(4, 6, -1))
+class TestConvBatchBits:
+    """Each image gets its own GEMMs, so a conv's output and input gradient for
+    one image are the same bits in any batch and at any column budget."""
 
-    def test_multi_block_returns_window_view(self, monkeypatch):
-        monkeypatch.setattr(setsum.autodiff, "_BLOCK_BYTES", 1)
-        rng = np.random.default_rng(26)
-        a, w = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 3, 3))
-        out, kept = _correlate(a, w)
-        assert out.shape == (2, 2, 5, 4)
-        assert kept.shape == (2, 3, 3, 3, 5, 4)
-        assert not kept.flags.writeable
-        padded = np.pad(a, [(0, 0), (0, 0), (1, 1), (1, 1)])
-        npt.assert_array_equal(kept[..., 1, 2, 4, 3], padded[..., 5, 5])
+    @pytest.mark.parametrize("spatial, kext", [((9, 7), (3, 3)), ((7, 6, 5), (3, 3, 3)),
+                                               ((9, 8), (5, 5)), ((6, 7, 8), (1, 3, 5))],
+                             ids=["2d-k3", "3d-k3", "2d-k5", "3d-k1x3x5"])
+    def test_batch_equals_per_image(self, monkeypatch, spatial, kext):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(3, 4) + spatial)
+        kernel = Tensor(rng.normal(size=(5, 4) + kext))
+        g = rng.normal(size=(3, 5) + spatial)
+
+        def forward_backward(b):
+            xb = parameter(x[b], "x")
+            out = conv(xb, kernel)
+            xb.grad = np.zeros_like(xb.data)
+            out._backward(g[b])
+            return out.data, xb.grad
+
+        single = [forward_backward(slice(b, b + 1)) for b in range(3)]
+        for budget in (setsum.autodiff._BLOCK_BYTES, 1):
+            monkeypatch.setattr(setsum.autodiff, "_BLOCK_BYTES", budget)
+            batch = forward_backward(slice(None))
+            for b, (out, grad) in enumerate(single):
+                npt.assert_array_equal(batch[0][b], out[0])
+                npt.assert_array_equal(batch[1][b], grad[0])
 
 
 class ConvBatchChecks:
@@ -177,9 +196,8 @@ class TestBatch(ConvBatchChecks):
 
 
 class TestConvInOneRowBlocks(ConvBatchChecks):
-    """ConvBatchChecks with a one-byte column budget, so every conv builds its
-    im2col columns, and rebuilds them for the kernel gradient, one output row
-    at a time."""
+    """ConvBatchChecks with a one-byte column budget, so every conv unfolds its
+    input, and its output gradient, one batch row (one image) at a time."""
 
     @pytest.fixture(autouse=True)
     def one_row_blocks(self, monkeypatch):

@@ -405,6 +405,17 @@ class TestCli:
         assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "curve").exists()
 
+    def test_curve_single_test_record_exit_2_before_any_job(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg = write_config_with(tmp_path, "data.num_test=1")
+        assert main(["generate", str(cfg)]) == 0
+        trained = []
+        monkeypatch.setattr("setsum.trainer.train", lambda *a, **k: trained.append(a))
+        assert main(["curve", str(cfg)]) == 2
+        assert "learning curve needs at least 2 test records, got 1" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "out" / "curve").exists()
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["generate", str(cfg)]) == 0

@@ -380,9 +380,8 @@ class TestHydraLoss:
         assert peak < 28 * 2**20, peak
 
     def test_finished_graph_freed_without_cycle_collector(self):
-        # a graph that is a reference cycle, with the im2col columns or
-        # padded inputs its conv nodes keep, lives until the cycle collector
-        # happens to run
+        # a graph that is a reference cycle, with every activation its nodes
+        # keep, lives until the cycle collector happens to run
         model = build_base_regressor(TINY)
         img = np.random.default_rng(10).uniform(size=(1, 8, 8))
         gc.disable()
