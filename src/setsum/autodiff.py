@@ -9,6 +9,11 @@ A gradient lives only while the pass needs it, and afterwards only leaves
 hold one; closures are kept, so a graph can be backpropagated again.  A
 closure never refers to its own node, so a finished graph holds no
 reference cycle and is freed as soon as the last reference to it is dropped.
+Every primitive but conv and rows declares one gradient pull per parent
+through ``_node``, which installs the closure; conv keeps its own to take
+both gradients from one unfolding of the output gradient, block by block,
+and rows to add into its one row, where a full-size pull could flip the
+sign of zero in the other rows.
 
 Only the primitives the count/volume regressor needs are implemented:
 same-padded 2D/3D cross-correlation, ReLU, channel concatenation, global
@@ -102,43 +107,22 @@ class Tensor:
 
     def __add__(self, other):
         _check_same_shape("add", self, other)
-        out = _result(self.data + other.data, "add", (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self.grad += g
-                if other.requires_grad:
-                    other.grad += g
-            out._backward = _bw
-        return out
+        return _node(self.data + other.data, "add", (self, lambda g: g), (other, lambda g: g))
 
     def __sub__(self, other):
-        out = _result(self.data - float(other), "sub", (self,))
-        _elementwise_backward(out, self, lambda g: g)
-        return out
+        return _node(self.data - float(other), "sub", (self, lambda g: g))
 
     def __mul__(self, other):
         if isinstance(other, _Scalar):
             c = float(other)
-            out = _result(self.data * c, "mul", (self,))
-            _elementwise_backward(out, self, lambda g: g * c)
-            return out
+            return _node(self.data * c, "mul", (self, lambda g: g * c))
         _check_same_shape("mul", self, other)
-        out = _result(self.data * other.data, "mul", (self, other))
-        if out.requires_grad:
-            def _bw(g):
-                if self.requires_grad:
-                    self.grad += other.data * g
-                if other.requires_grad:
-                    other.grad += self.data * g
-            out._backward = _bw
-        return out
+        return _node(self.data * other.data, "mul", (self, lambda g: other.data * g),
+                     (other, lambda g: self.data * g))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; the subgradient at 0 is 0."""
-        out = _result(np.abs(self.data), "abs", (self,))
-        _elementwise_backward(out, self, lambda g: np.sign(self.data) * g)
-        return out
+        return _node(np.abs(self.data), "abs", (self, lambda g: np.sign(self.data) * g))
 
 
 def parameter(data, name: str) -> Tensor:
@@ -154,11 +138,18 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...]) -> Tensor:
     return out
 
 
-def _elementwise_backward(out: Tensor, x: Tensor, pull) -> None:
+def _node(data: np.ndarray, op: str, *pulls) -> Tensor:
+    """A node of ``op`` whose parents are the tensors of the (parent, pull)
+    pairs ``pulls``, in order; its closure adds pull(g) to the gradient of
+    each parent that needs one."""
+    out = _result(data, op, tuple([p for p, _ in pulls]))
     if out.requires_grad:
         def _bw(g):
-            x.grad += pull(g)
+            for p, pull in pulls:
+                if p.requires_grad:
+                    p.grad += pull(g)
         out._backward = _bw
+    return out
 
 
 def _check_same_shape(op: str, a: Tensor, b) -> None:
@@ -265,9 +256,7 @@ def _tap_sum(w: np.ndarray, views: list[np.ndarray], out: np.ndarray | None = No
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is 0."""
-    out = _result(np.maximum(x.data, 0.0), "relu", (x,))
-    _elementwise_backward(out, x, lambda g: (x.data > 0.0) * g)
-    return out
+    return _node(np.maximum(x.data, 0.0), "relu", (x, lambda g: (x.data > 0.0) * g))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -279,16 +268,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[2:] != b.shape[2:]:
         raise ValueError(f"concat_channels: spatial extents differ, "
                          f"{a.shape[2:]} vs {b.shape[2:]}")
-    out = _result(np.concatenate([a.data, b.data], axis=1), "concat", (a, b))
-    if out.requires_grad:
-        ca = a.shape[1]
-        def _bw(g):
-            if a.requires_grad:
-                a.grad += g[:, :ca]
-            if b.requires_grad:
-                b.grad += g[:, ca:]
-        out._backward = _bw
-    return out
+    ca = a.shape[1]
+    return _node(np.concatenate([a.data, b.data], axis=1), "concat",
+                 (a, lambda g: g[:, :ca]), (b, lambda g: g[:, ca:]))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -297,12 +279,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ValueError("global_avg_pool: input must have shape (batch, channels, *spatial)")
     batch, c = x.shape[:2]
     count = int(np.prod(x.shape[2:]))
-    out = _result(x.data.reshape(batch, c, -1).mean(axis=2), "gap", (x,))
-    if out.requires_grad:
-        def _bw(g):
-            x.grad += (g / count).reshape((batch, c) + (1,) * (x.ndim - 2))
-        out._backward = _bw
-    return out
+    return _node(x.data.reshape(batch, c, -1).mean(axis=2), "gap",
+                 (x, lambda g: (g / count).reshape((batch, c) + (1,) * (x.ndim - 2))))
 
 
 def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
@@ -314,15 +292,8 @@ def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
     if weights.ndim != 2 or weights.shape[1] != x.shape[1]:
         raise ValueError(f"fully_connected: weights shape {weights.shape} does not accept "
                          f"inputs of length {x.shape[1]}")
-    out = _result(x.data @ weights.data.T, "fc", (x, weights))
-    if out.requires_grad:
-        def _bw(g):
-            if weights.requires_grad:
-                weights.grad += g.T @ x.data
-            if x.requires_grad:
-                x.grad += g @ weights.data
-        out._backward = _bw
-    return out
+    return _node(x.data @ weights.data.T, "fc", (x, lambda g: g @ weights.data),
+                 (weights, lambda g: g.T @ x.data))
 
 
 def rows(x: Tensor) -> list[Tensor]:
@@ -355,9 +326,7 @@ def dropout_apply(x: Tensor, rate: float,
     if rng is None:
         raise ValueError("dropout_apply: needs a random generator")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = _result(x.data * keep, "dropout", (x,))
-    _elementwise_backward(out, x, lambda g: keep * g)
-    return out
+    return _node(x.data * keep, "dropout", (x, lambda g: keep * g))
 
 
 # ---------------------------------------------------------------------------

@@ -415,9 +415,10 @@ def read_manifest(path, label_kind: str = "count") -> DatasetManifest:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         rec_path, count_s, volume_s, split = row
         norm = os.path.normpath(rec_path)
-        if os.path.isabs(rec_path) or norm.split(os.sep)[0] == "..":
-            raise ValueError(f"{path}:{lineno}: path {rec_path!r} leaves the manifest's "
-                             f"directory")
+        # "", "." and "images/.." normalise to ".", the directory itself
+        if os.path.isabs(rec_path) or norm.split(os.sep)[0] in (os.curdir, os.pardir):
+            raise ValueError(f"{path}:{lineno}: path {rec_path!r} names no file inside "
+                             f"the manifest's directory")
         if norm in seen:
             raise ValueError(f"{path}:{lineno}: duplicate path {rec_path!r}")
         seen.add(norm)

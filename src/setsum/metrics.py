@@ -116,8 +116,6 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, fl
             raise ValueError(f"{label} must be in [-1, 1], got {r}")
     if n < 4:
         raise ValueError(f"williams_test needs n >= 4, got {n}")
-    if r12 == r13:
-        return 0.0, 1.0
     k_det = 1.0 - r12 * r12 - r13 * r13 - r23 * r23 + 2.0 * r12 * r13 * r23
     if k_det <= 0.0:
         return None
@@ -125,6 +123,8 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, fl
     denom = 2.0 * k_det * (n - 1) / (n - 3) + rbar * rbar * (1.0 - r23) ** 3
     if denom <= 0.0:
         return None
+    if r12 == r13:
+        return 0.0, 1.0
     t = (r12 - r13) * math.sqrt((n - 1) * (1.0 + r23) / denom)
     p = 2.0 * student_t_sf(abs(t), n - 3)
     return t, p

@@ -309,6 +309,15 @@ class TestBackpropagate:
         single = backpropagate(fully_connected(x, w))
         double = backpropagate(fully_connected(x, w) + fully_connected(x, w))
         npt.assert_allclose(double["w"], 2.0 * single["w"], atol=1e-10)
+        p = parameter(np.array([1.5]), "p")
+        npt.assert_array_equal(backpropagate(p + p)["p"], [2.0])
+
+    def test_constant_operand_gets_no_gradient(self):
+        p = parameter(np.array([2.0]), "p")
+        c = Tensor(np.array([-0.5]))
+        grads = backpropagate((p + c) * (c + p))
+        npt.assert_array_equal(grads["p"], [3.0])
+        assert c.grad is None
 
     def test_gradients_match_finite_differences(self):
         # composite graph exercising every primitive's backward

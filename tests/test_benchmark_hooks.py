@@ -4,7 +4,8 @@
 module attributes and ``Tensor`` operators by name, and ``perfbench/workloads.py``
 builds its runs from config keys; a refactor that unbinds one of those names,
 stops calling one of them during setsum training, or removes one of those
-keys should fail here, not only when the benchmark runs.
+keys should fail here, not only when the benchmark runs.  So should a
+gradient slip that the benchmark's own output checks catch.
 """
 
 import importlib.util
@@ -63,6 +64,8 @@ def _assert_workload_hooks_reached(tmp_path, monkeypatch, config: TrainConfig):
     # operation; the names asserted are those perfbench/workloads.py `trace`
     # hooks for a workload of this method, batch size and augmentation
     instrument = _instrument()
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
     calls = Counter()
 
     def counting(name, fn):
@@ -84,7 +87,7 @@ def _assert_workload_hooks_reached(tmp_path, monkeypatch, config: TrainConfig):
     model, _ = setsum.trainer.train(build_base_regressor(arch), manifest, config,
                                     np.random.default_rng(5))
     before = calls["predict"]
-    setsum.trainer.infer(model, manifest, "test")
+    inferred = setsum.trainer.infer(model, manifest, "test")
     # the untraced probe times each predict inside infer, one per test image
     assert calls["predict"] - before == 5
     names = ["train", "infer", "predict", "hydra_loss", "backpropagate", "adadelta_step",
@@ -97,6 +100,11 @@ def _assert_workload_hooks_reached(tmp_path, monkeypatch, config: TrainConfig):
     if config.method == "setsum" or config.batch_size > 1:
         names.append("__add__")
     assert [name for name in names if calls[name] == 0] == []
+    # after the count, whose hooks the checks' own forward passes would also reach;
+    # the benchmark counts a failed output check as an incorrect output
+    ledger = workloads.Ledger()
+    workloads.check_model(model, manifest, inferred, ledger)
+    assert ledger.failed == 0, ledger.failures
 
 
 def test_setsum_training_reaches_every_hooked_op(tmp_path, monkeypatch):

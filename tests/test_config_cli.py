@@ -278,7 +278,7 @@ class TestCli:
         manifest.parent.mkdir(parents=True)
         manifest.write_text("path,count_label,volume_label,split\n../secret.sstf,1,1,train\n")
         assert main(["train", str(cfg)]) == 2
-        assert "manifest.csv:2: path '../secret.sstf' leaves" in capsys.readouterr().err
+        assert "manifest.csv:2: path '../secret.sstf' names no file inside" in capsys.readouterr().err
 
     def test_manifest_from_another_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)

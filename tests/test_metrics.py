@@ -130,6 +130,9 @@ class TestWilliams:
 
     def test_degenerate_correlations_marker(self):
         assert williams_test(1.0, 0.2, 0.2, 20) is None
+        # K = -2.888: no correlation matrix has this triple, equal r12 and r13 or not
+        assert williams_test(0.9, 0.9, -0.9, 30) is None
+        assert williams_test(0.9, 0.89, -0.9, 30) is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r12"):
