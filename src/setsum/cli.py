@@ -23,8 +23,8 @@ from . import data as data_mod
 from .config import ConfigError, RunConfig, config_text, parse_config_file
 from .metrics import evaluate_pairs
 from .regressor import build_base_regressor, load_model, save_model
-from .trainer import (TrainingDiverged, _derive_seed, infer, learning_curve_experiment, train,
-                      write_aggregate_csv, write_job_csv)
+from .trainer import (TrainingDiverged, _derive_seed, infer, learning_curve_experiment,
+                      pad_heap_top, train, write_aggregate_csv, write_job_csv)
 
 __all__ = ["main"]
 
@@ -175,6 +175,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    pad_heap_top()
     args = _parse_args(argv)
     try:
         config = parse_config_file(args.config, seed_override=args.seed)

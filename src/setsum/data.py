@@ -221,6 +221,8 @@ def write_tensor(path, array: np.ndarray) -> None:
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim < 1 or arr.ndim > 255:
         raise ValueError(f"tensor rank {arr.ndim} not storable")
+    if 0 in arr.shape:
+        raise ValueError(f"zero extent in shape {arr.shape} not storable")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<B", arr.ndim))

@@ -22,6 +22,7 @@ bit-identical run.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -273,6 +274,30 @@ def check_curve_grid(sizes: Sequence[int], methods: Sequence[str], num_seeds: in
         raise ValueError("num_seeds must be positive")
 
 
+_M_TOP_PAD = -2  # mallopt parameter number, glibc <malloc.h>
+_HEAP_TOP_PAD = 64 << 20  # bytes
+
+
+def pad_heap_top() -> bool:
+    """Make glibc keep 64 MiB free at the top of the heap.
+
+    Without the pad, a desk-scale training step or predict returns the
+    freed heap top to the system and faults it back in on the next call.
+    The setting is process-wide, so it is made at process entry points:
+    ``setsum``'s ``cli.main`` and the curve workers' pool initializer.
+    Returns whether the pad was set; where the C library has no
+    ``mallopt`` (not glibc) it changes nothing and returns False.
+    """
+    if os.name != "posix":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+
+
 def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
                               methods: Sequence[str], num_seeds: int, *,
                               arch: ArchitectureConfig, config: TrainConfig,
@@ -314,8 +339,8 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
                     config=cfg, rep=rep, rng_key=(master_seed, 8, size, mi, rep)))
     workers = min(jobs, len(job_list), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=get_context("spawn")) as pool_exec:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"),
+                                 initializer=pad_heap_top) as pool_exec:
             return list(pool_exec.map(_run_curve_job, job_list))
     return [_run_curve_job(job) for job in job_list]
 

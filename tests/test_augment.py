@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setsum import augment
 from setsum.augment import (BLACK, AugmentationConfig, SampleSet, count_combinations,
                             make_epoch_sets, mixup_pair, random_geometric_augment,
                             virtual_label)
@@ -180,6 +181,77 @@ class TestGeometricAugment:
             random_geometric_augment(np.zeros((1, 4, 4)),
                                      AugmentationConfig(flip_axes=(2,)),
                                      np.random.default_rng(0))
+
+
+def ndimage_rotate(image, angles):
+    """Reference rotation: one ``scipy.ndimage.affine_transform`` per channel."""
+    from scipy import ndimage
+    image = np.ascontiguousarray(image)
+    m = augment._rotation_matrix(angles, image.ndim - 1).T
+    center = (np.asarray(image.shape[1:], dtype=np.float64) - 1.0) / 2.0
+    out = np.empty_like(image)
+    for c in range(image.shape[0]):
+        ndimage.affine_transform(image[c], m, offset=center - m @ center, output=out[c],
+                                 order=1, mode="constant", cval=0.0)
+    return out
+
+
+def ndimage_augment(image, config, rng):
+    """Reference augmentation: flips, then the ndimage rotation, then the shift."""
+    d = image.ndim - 1
+    out = image
+    for ax in config.flip_axes:
+        if rng.random() < 0.5:
+            out = np.flip(out, axis=ax + 1)
+    if config.rotation_range_radians > 0.0:
+        r = config.rotation_range_radians
+        out = ndimage_rotate(out, [rng.uniform(-r, r) for _ in range(1 if d == 2 else 3)])
+    if config.translation_range_voxels > 0:
+        t = config.translation_range_voxels
+        out = augment._integer_shift(out, [int(rng.integers(-t, t + 1)) for _ in range(d)])
+    return out
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    npt.assert_array_equal(np.ascontiguousarray(actual).view(np.int64),
+                           np.ascontiguousarray(expected).view(np.int64))
+
+
+def rotation_sweep(d, seed):
+    """Angles 0, every +-pi/2 combination, and random draws in +-0.3."""
+    k = 1 if d == 2 else 3
+    quarter = [0.0, math.pi / 2, -math.pi / 2]
+    rng = np.random.default_rng(seed)
+    return ([[0.0] * k] + [list(a) for a in itertools.product(quarter, repeat=k)][1:]
+            + [list(rng.uniform(-0.3, 0.3, size=k)) for _ in range(6)])
+
+
+class TestRotateMatchesNdimage:
+    @pytest.mark.parametrize("extent", [(16, 16), (7, 12), (12, 7), (1, 5), (1, 1),
+                                        (6, 6, 6), (4, 7, 5), (1, 3, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bit_identical_over_sweep(self, extent, channels):
+        d = len(extent)
+        rng = np.random.default_rng(sum(extent) * 10 + channels)
+        image = rng.standard_normal((channels,) + extent)
+        image[rng.random(image.shape) < 0.2] = -0.0
+        flipped = np.flip(image, axis=tuple(range(1, d + 1)))
+        assert not flipped.flags.c_contiguous or image.size == channels
+        for angles in rotation_sweep(d, seed=d):
+            for source in (image, flipped):
+                assert_same_bits(augment._rotate(source, angles), ndimage_rotate(source, angles))
+
+    @pytest.mark.parametrize("extent, flips", [((16, 16), (0, 1)), ((9, 6), (1,)),
+                                               ((8, 8, 8), (0, 1, 2)), ((5, 7, 6), (2,))])
+    def test_augment_matches_flip_ndimage_shift(self, extent, flips):
+        cfg = AugmentationConfig(flip_axes=flips, rotation_range_radians=0.2,
+                                 translation_range_voxels=2)
+        image = np.random.default_rng(len(extent)).uniform(-0.5, 1.0, size=(1,) + extent)
+        for seed in range(8):
+            expected = ndimage_augment(image, cfg, np.random.default_rng(seed))
+            actual = random_geometric_augment(image, cfg, np.random.default_rng(seed))
+            assert_same_bits(actual, expected)
 
 
 class TestMixup:

@@ -139,6 +139,13 @@ class TestTensorFile:
         write_tensor(tmp_path / "t2.sstf", back)
         assert (tmp_path / "t.sstf").read_bytes() == (tmp_path / "t2.sstf").read_bytes()
 
+    @pytest.mark.parametrize("shape", [(1, 0, 4), (0,)])
+    def test_zero_extent_rejected_before_writing(self, tmp_path, shape):
+        path = tmp_path / "t.sstf"
+        with pytest.raises(ValueError, match="zero extent"):
+            write_tensor(path, np.zeros(shape))
+        assert not path.exists()
+
     def test_wrong_magic_named_in_error(self, tmp_path):
         path = tmp_path / "bad.sstf"
         path.write_bytes(b"NOPE!" + bytes(20))

@@ -1,4 +1,4 @@
-"""scipy modules load only in the functions that use them.
+"""scipy loads only for Williams' p-value; importing and augmenting load none of it.
 
 Each check runs in a fresh interpreter: the test process itself may already
 hold scipy modules imported by other tests.
@@ -17,7 +17,7 @@ import json, sys
 import numpy as np
 
 def loaded():
-    return [m for m in ("scipy.stats", "scipy.special", "scipy.ndimage") if m in sys.modules]
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 stages = {}
 import setsum, setsum.cli
@@ -29,6 +29,10 @@ setsum.random_geometric_augment(image, setsum.AugmentationConfig(
 stages["unrotated"] = loaded()
 setsum.random_geometric_augment(image, setsum.AugmentationConfig(rotation_range_radians=0.2), rng)
 stages["rotated"] = loaded()
+volume = np.random.default_rng(2).random((1, 6, 6, 6))
+setsum.random_geometric_augment(volume, setsum.AugmentationConfig(
+    flip_axes=(0, 1, 2), rotation_range_radians=0.2), rng)
+stages["rotated_3d"] = loaded()
 setsum.williams_test(0.6, 0.3, 0.4, 30)
 stages["williams"] = loaded()
 print(json.dumps(stages))
@@ -42,6 +46,7 @@ def test_scipy_loads_at_first_use():
     stages = json.loads(out.stdout)
     assert stages["import"] == []
     assert stages["unrotated"] == []
-    assert "scipy.ndimage" in stages["rotated"]
+    assert stages["rotated"] == []
+    assert stages["rotated_3d"] == []
     assert "scipy.special" in stages["williams"]
     assert "scipy.stats" not in stages["williams"]

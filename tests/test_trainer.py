@@ -1,5 +1,11 @@
 import csv
+import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -235,11 +241,13 @@ class TestStratifiedSubsample:
 
 def serial_pool(monkeypatch) -> list:
     """Replace the process pool with one that runs jobs serially; returns the
-    list that records each pool's ``max_workers``."""
+    list that records each pool's ``max_workers``.  Every pool must start its
+    workers with ``pad_heap_top``."""
     created = []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer):
+            assert initializer is trainer_mod.pad_heap_top
             created.append(max_workers)
 
         def __enter__(self):
@@ -253,6 +261,43 @@ def serial_pool(monkeypatch) -> list:
 
     monkeypatch.setattr(trainer_mod, "ProcessPoolExecutor", SerialPool)
     return created
+
+
+CHURN_SCRIPT = """
+import json, resource
+import numpy as np
+from setsum.trainer import pad_heap_top
+
+def churn_faults():
+    # sixteen 120 kB blocks: each is below glibc's 128 kB mmap threshold, and
+    # together they outgrow the holes left by imports, so they extend the
+    # heap top, which is trimmed once they are freed
+    for _ in range(3):
+        blocks = [np.ones(15000) for _ in range(16)]
+        del blocks
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        blocks = [np.ones(15000) for _ in range(16)]
+        del blocks
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+unpadded = churn_faults()
+padded = pad_heap_top()
+print(json.dumps([unpadded, padded, churn_faults()]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_pad_heap_top_stops_heap_top_refaults():
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", CHURN_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    unpadded, padded, faults = json.loads(out.stdout)
+    assert padded is True
+    assert unpadded > 1000
+    assert faults < 50
 
 
 def aggregate_rows(path, results) -> list[dict]:
