@@ -1,11 +1,11 @@
 """Virtual-sample construction and on-the-fly image augmentation.
 
-A virtual sample is a fixed-size set of image slots whose label is the sum
-of the labels of its real members.  Each epoch, the training indices are
-permuted and partitioned into sets without replacement; a slot can then be
-substituted by the all-zero "black" image with probability ``p``, which both
-varies the effective set size and acts as the regularization dial (the
-expected number of real images per set is n*(1-p)).
+A virtual sample is a fixed-size set of image slots, each a real index, or
+``None`` for a black slot: the all-zero image.  Its label is the sum of the
+labels of its real members.  Each epoch, the training indices are permuted
+and partitioned into sets without replacement; each real slot is then made
+black with probability ``p``, which both varies the effective set size and
+acts as the regularization dial (n*(1-p) real images per set on average).
 
 Geometric augmentation (flips, small rotations, integer translations) never
 touches the label: it is applied per real image before set assembly.
@@ -26,7 +26,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "BLACK",
     "SampleSet",
     "AugmentationConfig",
     "make_epoch_sets",
@@ -36,19 +35,15 @@ __all__ = [
     "mixup_pair",
 ]
 
-# A black slot holds no image index; it resolves to the all-zero image.
-BLACK = None
-
-
 @dataclass(frozen=True)
 class SampleSet:
-    """One virtual sample: ordered slots (real index or BLACK) plus summed label."""
+    """One virtual sample: slots (a real index, or ``None`` for a black slot) and summed label."""
 
     slots: tuple[Optional[int], ...]
     virtual_label: float
 
     def real_indices(self) -> tuple[int, ...]:
-        return tuple(s for s in self.slots if s is not BLACK)
+        return tuple(s for s in self.slots if s is not None)
 
 
 def virtual_label(labels: Sequence[float]) -> float:
@@ -73,10 +68,10 @@ def make_epoch_sets(labels: Sequence[float], n: int, p: float,
     """Build one epoch's virtual samples over a pool of ``len(labels)`` images.
 
     A random permutation of the pool is split into ceil(m/n) groups of ``n``
-    slots, the last group padded with BLACK when n does not divide m.  Each
-    real slot is then independently replaced by BLACK with probability ``p``
-    (one uniform draw per real slot, in slot order), and the virtual label is
-    the sum of the surviving real labels.
+    slots, the last group padded with black slots (``None``) when n does not
+    divide m.  Each real slot is then independently made black with
+    probability ``p`` (one uniform draw per real slot, in slot order), and the
+    virtual label is the sum of the surviving real labels.
     """
     if n < 1:
         raise ValueError(f"set size n must be positive, got {n}")
@@ -89,13 +84,13 @@ def make_epoch_sets(labels: Sequence[float], n: int, p: float,
     groups = [list(perm[i:i + n]) for i in range(0, m, n)]
     sets = []
     for group in groups:
-        slots: list[Optional[int]] = list(group) + [BLACK] * (n - len(group))
+        slots: list[Optional[int]] = list(group) + [None] * (n - len(group))
         if p > 0.0:
             for j, s in enumerate(slots):
-                if s is not BLACK and rng.random() < p:
-                    slots[j] = BLACK
-        label = virtual_label([labels[s] for s in slots if s is not BLACK])
-        sets.append(SampleSet(tuple(int(s) if s is not BLACK else BLACK for s in slots), label))
+                if s is not None and rng.random() < p:
+                    slots[j] = None
+        label = virtual_label([labels[s] for s in slots if s is not None])
+        sets.append(SampleSet(tuple(None if s is None else int(s) for s in slots), label))
     return sets
 
 

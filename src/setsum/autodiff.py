@@ -1,19 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Operations build an implicit computation graph: every result remembers its
-parent tensors, the kind of operation that produced it, and a closure that
-pushes gradients back to those parents.  :func:`backpropagate` replays the
-closures in reverse topological order, handing each one its node's gradient,
-and returns the gradients of all named parameters reachable from the loss.
-A gradient lives only while the pass needs it, and afterwards only leaves
-hold one; closures are kept, so a graph can be backpropagated again.  A
-closure never refers to its own node, so a finished graph holds no
-reference cycle and is freed as soon as the last reference to it is dropped.
-Every primitive but conv and rows declares one gradient pull per parent
-through ``_node``, which installs the closure; conv keeps its own to take
-both gradients from one unfolding of the output gradient, block by block,
-and rows to add into its one row, where a full-size pull could flip the
-sign of zero in the other rows.
+parent tensors and a closure that pushes gradients back to those parents.
+:func:`backpropagate` replays the closures in reverse topological order,
+handing each one its node's gradient, and returns the gradients of all named
+parameters reachable from the loss.  A gradient lives only while the pass
+needs it, and afterwards only leaves hold one; closures are kept, so a graph
+can be backpropagated again.  A closure never refers to its own node, so a
+finished graph holds no reference cycle and is freed as soon as the last
+reference to it is dropped.  Every primitive but conv and rows declares one
+gradient pull per parent through ``_node``, which installs the closure; conv
+keeps its own to take both gradients from one unfolding of the output
+gradient, block by block, and rows to add into its one row, where a full-size
+pull could flip the sign of zero in the other rows.
 
 Only the primitives the count/volume regressor needs are implemented:
 same-padded 2D/3D cross-correlation, ReLU, channel concatenation, global
@@ -71,14 +70,13 @@ class Tensor:
     between graph constructions.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
-        self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
 
@@ -101,28 +99,28 @@ class Tensor:
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(op={self.op!r}, shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape}{tag})"
 
     # -- loss arithmetic: Tensor + Tensor, Tensor - scalar, Tensor * Tensor or scalar --
 
     def __add__(self, other):
         _check_same_shape("add", self, other)
-        return _node(self.data + other.data, "add", (self, lambda g: g), (other, lambda g: g))
+        return _node(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
 
     def __sub__(self, other):
-        return _node(self.data - float(other), "sub", (self, lambda g: g))
+        return _node(self.data - float(other), (self, lambda g: g))
 
     def __mul__(self, other):
         if isinstance(other, _Scalar):
             c = float(other)
-            return _node(self.data * c, "mul", (self, lambda g: g * c))
+            return _node(self.data * c, (self, lambda g: g * c))
         _check_same_shape("mul", self, other)
-        return _node(self.data * other.data, "mul", (self, lambda g: other.data * g),
+        return _node(self.data * other.data, (self, lambda g: other.data * g),
                      (other, lambda g: self.data * g))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; the subgradient at 0 is 0."""
-        return _node(np.abs(self.data), "abs", (self, lambda g: np.sign(self.data) * g))
+        return _node(np.abs(self.data), (self, lambda g: np.sign(self.data) * g))
 
 
 def parameter(data, name: str) -> Tensor:
@@ -130,19 +128,18 @@ def parameter(data, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
 
-def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...]) -> Tensor:
+def _result(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
-    out.op = op
     out._parents = parents
     out.requires_grad = any(p.requires_grad for p in parents)
     return out
 
 
-def _node(data: np.ndarray, op: str, *pulls) -> Tensor:
-    """A node of ``op`` whose parents are the tensors of the (parent, pull)
-    pairs ``pulls``, in order; its closure adds pull(g) to the gradient of
-    each parent that needs one."""
-    out = _result(data, op, tuple([p for p, _ in pulls]))
+def _node(data: np.ndarray, *pulls) -> Tensor:
+    """A node whose parents are the tensors of the (parent, pull) pairs
+    ``pulls``, in order; its closure adds pull(g) to the gradient of each
+    parent that needs one."""
+    out = _result(data, tuple([p for p, _ in pulls]))
     if out.requires_grad:
         def _bw(g):
             for p, pull in pulls:
@@ -194,7 +191,7 @@ def conv(x: Tensor, kernel: Tensor) -> Tensor:
     out_mat = out_data.reshape(x.shape[0], kernel.shape[0], -1)
     for b, views in _tap_views(x.data, taps):
         _tap_sum(kernel.data, views, out_mat[b])
-    out = _result(out_data, "conv", (x, kernel))
+    out = _result(out_data, (x, kernel))
     if out.requires_grad:
         flip = (slice(None),) * 2 + (slice(None, None, -1),) * d
         def _bw(g):
@@ -256,7 +253,7 @@ def _tap_sum(w: np.ndarray, views: list[np.ndarray], out: np.ndarray | None = No
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is 0."""
-    return _node(np.maximum(x.data, 0.0), "relu", (x, lambda g: (x.data > 0.0) * g))
+    return _node(np.maximum(x.data, 0.0), (x, lambda g: (x.data > 0.0) * g))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -269,7 +266,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"concat_channels: spatial extents differ, "
                          f"{a.shape[2:]} vs {b.shape[2:]}")
     ca = a.shape[1]
-    return _node(np.concatenate([a.data, b.data], axis=1), "concat",
+    return _node(np.concatenate([a.data, b.data], axis=1),
                  (a, lambda g: g[:, :ca]), (b, lambda g: g[:, ca:]))
 
 
@@ -279,7 +276,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ValueError("global_avg_pool: input must have shape (batch, channels, *spatial)")
     batch, c = x.shape[:2]
     count = int(np.prod(x.shape[2:]))
-    return _node(x.data.reshape(batch, c, -1).mean(axis=2), "gap",
+    return _node(x.data.reshape(batch, c, -1).mean(axis=2),
                  (x, lambda g: (g / count).reshape((batch, c) + (1,) * (x.ndim - 2))))
 
 
@@ -292,7 +289,7 @@ def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
     if weights.ndim != 2 or weights.shape[1] != x.shape[1]:
         raise ValueError(f"fully_connected: weights shape {weights.shape} does not accept "
                          f"inputs of length {x.shape[1]}")
-    return _node(x.data @ weights.data.T, "fc", (x, lambda g: g @ weights.data),
+    return _node(x.data @ weights.data.T, (x, lambda g: g @ weights.data),
                  (weights, lambda g: g.T @ x.data))
 
 
@@ -301,7 +298,7 @@ def rows(x: Tensor) -> list[Tensor]:
     into row b of ``x``."""
     items = []
     for b in range(x.shape[0]):
-        item = _result(x.data[b], "row", (x,))
+        item = _result(x.data[b], (x,))
         if item.requires_grad:
             def _bw(g, b=b):
                 x.grad[b] += g
@@ -326,7 +323,7 @@ def dropout_apply(x: Tensor, rate: float,
     if rng is None:
         raise ValueError("dropout_apply: needs a random generator")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _node(x.data * keep, "dropout", (x, lambda g: keep * g))
+    return _node(x.data * keep, (x, lambda g: keep * g))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def cmd_curve(config: RunConfig, args) -> int:
     started = time.perf_counter()
     results = learning_curve_experiment(
         manifest, sizes, methods, config["curve.num_seeds"],
-        arch=config.arch, config=config.curve, master_seed=config.seed,
+        arch=config.arch, config=config.train, master_seed=config.seed,
         jobs=args.jobs)
     elapsed = time.perf_counter() - started
     _echo_config(config)

@@ -8,13 +8,13 @@ in reproduces the run exactly.
 Values use the syntax shared with the model file (see :mod:`setsum.data`;
 floats must be finite).  The module configs are built here, once, so each
 value they check is rejected before any command writes, and so is a curve
-grid that fails :func:`setsum.trainer.check_curve_grid` or a
-``curve.methods`` entry or ``curve.epochs`` that ``TrainConfig`` rejects.
-This module checks what ties keys together; the only single keys it checks
-are ``data.label_kind`` and the split sizes ``data.num_*``, which no module
-config built at parse holds.  ``train.batch_size`` is the baseline and
-mixup batch (a setsum step is one set of ``train.n``), and
-``augment.flip_axes=all`` flips every axis of ``data.image_extent``.
+grid that fails :func:`setsum.trainer.check_curve_grid` or a ``curve.methods``
+entry that ``TrainConfig`` rejects.  This module checks what ties keys
+together; the only single keys it checks are ``data.label_kind`` and the
+split sizes ``data.num_*``, which no module config built at parse holds.
+``train.batch_size`` is the baseline and mixup batch (a setsum step is one
+set of ``train.n``), and ``augment.flip_axes=all`` flips every axis of
+``data.image_extent``.  A curve job trains with ``train.*`` and its method.
 """
 
 from __future__ import annotations
@@ -73,21 +73,18 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
     "curve.sizes": (parse_list(int), (12, 24)),
     "curve.methods": (parse_list(str.strip), ("setsum", "baseline")),
     "curve.num_seeds": (int, 5),
-    "curve.epochs": (parse_optional(int), None),
 }
 
 
 @dataclass
 class RunConfig:
     """Fully resolved configuration for every CLI command: the parsed value of
-    every key, and the module configs built from them at parse (``curve`` is
-    ``train`` with ``curve.epochs``; each curve job sets its own method)."""
+    every key, and the module configs built from them at parse."""
 
     values: dict
     synthetic: SyntheticConfig
     arch: ArchitectureConfig
     train: TrainConfig
-    curve: TrainConfig
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -177,12 +174,9 @@ def parse_config_text(text: str, seed_override: int | None = None) -> RunConfig:
         augmentation=augment)
     _build("curve", check_curve_grid, sizes=v["curve.sizes"], methods=v["curve.methods"],
            num_seeds=v["curve.num_seeds"])
-    epochs = v["curve.epochs"]
-    curve = _build("curve", partial(replace, train),
-                   epochs=train.epochs if epochs is None else epochs)
     for method in v["curve.methods"]:
-        _build("curve", partial(replace, curve), method=method)
-    return RunConfig(v, synthetic, arch, train, curve)
+        _build("curve", partial(replace, train), method=method)
+    return RunConfig(v, synthetic, arch, train)
 
 
 def parse_config_file(path, seed_override: int | None = None) -> RunConfig:

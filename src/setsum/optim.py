@@ -41,8 +41,10 @@ def adadelta_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         if g.shape != p.shape:
             raise ValueError(f"adadelta_step: gradient shape {g.shape} does not match "
                              f"parameter {name!r} of shape {p.shape}")
-        eg2 = state.sq_grad.setdefault(name, np.zeros_like(p.data))
-        ed2 = state.sq_delta.setdefault(name, np.zeros_like(p.data))
+        for acc in (state.sq_grad, state.sq_delta):
+            if name not in acc:
+                acc[name] = np.zeros_like(p.data)
+        eg2, ed2 = state.sq_grad[name], state.sq_delta[name]
         eg2 *= RHO
         eg2 += (1.0 - RHO) * g * g
         delta = -(np.sqrt(ed2 + EPSILON) / np.sqrt(eg2 + EPSILON)) * g

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setsum import augment
-from setsum.augment import (BLACK, AugmentationConfig, SampleSet, count_combinations,
+from setsum.augment import (AugmentationConfig, SampleSet, count_combinations,
                             make_epoch_sets, mixup_pair, random_geometric_augment,
                             virtual_label)
 
@@ -70,7 +70,7 @@ class TestMakeEpochSets:
         assert len(sets) == 2
         assert len(sets[0].real_indices()) == 4
         assert len(sets[1].real_indices()) == 1
-        assert sets[1].slots.count(BLACK) == 3
+        assert sets[1].slots.count(None) == 3
 
     def test_substitution_rate_binomial(self):
         m, p = 10_000, 0.1

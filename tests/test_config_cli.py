@@ -30,7 +30,6 @@ train.p=0.1
 curve.sizes=4,6
 curve.methods=setsum,baseline
 curve.num_seeds=2
-curve.epochs=2
 """
 
 
@@ -65,7 +64,7 @@ class TestParsing:
         assert config.architecture(model_seed=0).input_shape == (1, 8, 8)
 
     @pytest.mark.parametrize("line", ["data.imag_extent=8,8", "arch.seed=3",
-                                      "arch.zero_bias=false"])
+                                      "arch.zero_bias=false", "curve.epochs=2"])
     def test_unknown_key_with_line_number(self, line):
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
             parse_config_text(f"output_dir=o\n{line}\n")
@@ -206,13 +205,12 @@ class TestCli:
         ("arch.conv_blocks=3:3,4:2", "arch: conv block 2 has invalid (maps, kernel) = (4, 2)"),
         ("data.crop_extent=10,10", "data.crop_extent (10, 10) must lie between 1 and "
                                    "data.image_extent (8, 8) on each axis"),
-        ("curve.epochs=0", "curve: epochs must be positive, got 0"),
         ("curve.methods=setsum,magic", "curve: method must be one of"),
         ("data.num_train=-1", "data.num_train must be non-negative, got -1"),
         ("data.num_val=-2", "data.num_val must be non-negative, got -2"),
         ("data.num_test=-3", "data.num_test must be non-negative, got -3")],
-        ids=["data", "arch", "augment", "train", "even-kernel", "crop", "curve-epochs",
-             "curve-method", "num-train", "num-val", "num-test"])
+        ids=["data", "arch", "augment", "train", "even-kernel", "crop", "curve-method",
+             "num-train", "num-val", "num-test"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2
@@ -367,7 +365,7 @@ class TestCli:
         assert "model not found" in capsys.readouterr().err
 
     def test_curve_rows_and_determinism(self, tmp_path):
-        cfg = write_config(tmp_path)
+        cfg = write_config_with(tmp_path, "train.epochs=2")
         assert main(["generate", str(cfg)]) == 0
         assert main(["curve", str(cfg)]) == 0
         out = tmp_path / "out" / "curve"

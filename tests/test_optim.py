@@ -59,3 +59,25 @@ def test_gradient_shape_mismatch_rejected():
     p = parameter(np.zeros(3), "p")
     with pytest.raises(ValueError, match="shape"):
         adadelta_step({"p": p}, {"p": np.zeros(4)}, AdadeltaState())
+
+
+def test_accumulators_are_allocated_only_on_first_step(monkeypatch):
+    p = parameter(np.zeros((2, 3)), "p")
+    state = AdadeltaState()
+    adadelta_step({"p": p}, {"p": np.ones((2, 3))}, state)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("accumulator allocated again")
+
+    monkeypatch.setattr(np, "zeros_like", no_allocation)
+    adadelta_step({"p": p}, {"p": np.ones((2, 3))}, state)
+
+
+def test_state_seeded_with_one_accumulator_gets_the_other():
+    p = parameter(np.zeros(2), "p")
+    state = AdadeltaState()
+    seeded = np.array([0.4, 0.4])
+    state.sq_grad["p"] = seeded
+    adadelta_step({"p": p}, {"p": np.zeros(2)}, state)
+    assert state.sq_grad["p"] is seeded
+    npt.assert_array_equal(state.sq_delta["p"], [0.0, 0.0])
