@@ -32,13 +32,18 @@ nothing but its parents.  Columns are built for whole images, as many as
 fit ``_BLOCK_BYTES`` and at least one, so a block is at most max(1 MiB,
 one image's columns), 4.6 MB for a 32-channel 12x12x12 gradient.  Each
 image gets its own GEMMs, so its output and input gradient depend neither
-on the machine's caches nor on its batch.  Everything is float64 and single-threaded per graph;
-identical inputs give bit-identical forward and backward results.
+on the machine's caches nor on its batch.  Conv's shape checks and
+shape-only work (padded shapes, window strides, column slices) are computed
+once per (input shape, kernel shape), in a bounded cache that holds no
+arrays.  Everything is float64 and single-threaded per graph; identical
+inputs give bit-identical forward and backward results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,45 +179,108 @@ def conv(x: Tensor, kernel: Tensor) -> Tensor:
     and channel-swapped, as dW[o, c, t] = sum_u x[c, u] g_pad[o, u + k-1-t].
     There is no bias: a zero input gives a zero output.
     """
-    d = kernel.ndim - 2
-    if d not in (2, 3):
-        raise ValueError(f"conv: kernel must have 2 or 3 spatial dimensions, got {d}")
-    if x.ndim != d + 2:
-        raise ValueError(f"conv: input must have shape (batch, channels, *spatial), "
-                         f"got {x.ndim} axes for {d} spatial dimensions")
-    if kernel.shape[1] != x.shape[1]:
-        raise ValueError(f"conv: input has {x.shape[1]} channels but kernel expects "
-                         f"{kernel.shape[1]} (kernel axis 1)")
-    if any(k % 2 == 0 for k in kernel.shape[2:]):
-        raise ValueError(f"conv: kernel spatial extents must be odd, got {kernel.shape[2:]}")
-
-    taps = kernel.shape[2:]
-    out_data = np.empty((x.shape[0], kernel.shape[0]) + x.shape[2:])
-    out_mat = out_data.reshape(x.shape[0], kernel.shape[0], -1)
-    for b, views in _tap_views(x.data, taps):
-        _tap_sum(kernel.data, views, out_mat[b])
+    plan = _conv_plan(x.shape, kernel.shape)
+    out_data = np.empty(plan.out_shape)
+    out_mat = out_data.reshape(plan.out_mat_shape)
+    w_taps = _tap_major(kernel.data)
+    for b, views in _tap_views(x.data, plan.x):
+        _tap_sum(w_taps, views, out_mat[b])
     out = _result(out_data, (x, kernel))
     if out.requires_grad:
-        flip = (slice(None),) * 2 + (slice(None, None, -1),) * d
         def _bw(g):
-            flipped = kernel.data[flip].swapaxes(0, 1)
-            x_mat = x.data.reshape(x.shape[0], x.shape[1], -1)
-            for b, views in _tap_views(g, taps):
+            flipped = _tap_major(kernel.data[plan.flip].swapaxes(0, 1))
+            x_mat = x.data.reshape(plan.x_mat_shape)
+            for b, views in _tap_views(g, plan.g):
                 if x.requires_grad:
                     x.grad[b] += _tap_sum(flipped, views).reshape(x.grad[b].shape)
                 if kernel.requires_grad:
                     # (tap s, c_in, c_out * taps[1:]): kernel tap k0 - 1 - s, flipped
                     dw = np.stack([np.matmul(x_mat[b], v.transpose(0, 2, 1)) for v in views])
-                    dw = dw.sum(axis=1).reshape(taps[:1] + x.shape[1:2] + kernel.shape[:1]
-                                                + taps[1:])
-                    kernel.grad += dw.swapaxes(0, 2)[flip]
+                    kernel.grad += dw.sum(axis=1).reshape(plan.dw_shape).swapaxes(0, 2)[plan.flip]
         out._backward = _bw
     return out
 
 
-def _tap_views(a: np.ndarray, taps: tuple[int, ...]):
+class _Unfold(NamedTuple):
+    """What :func:`_tap_views` needs of one (batch, channels, *spatial) shape
+    and its kernel's taps; ints, tuples and slices only."""
+
+    wide_shape: tuple[int, ...]   # the zero-padded array
+    interior: tuple               # the unpadded array's block of it: ..., then slices
+    win_shape: tuple[int, ...]    # (batch, c, *taps[1:], padded first extent, *extents[1:])
+    win_strides: tuple[int, ...]  # bytes, from the C-order float64 padded shape
+    image_bytes: int              # one image's columns
+    cols_shape: tuple[int, ...]   # (c * prod(taps[1:]), padded first extent * row) per image
+    taps: tuple[slice, ...]       # column slice of each first-axis tap
+
+
+class _ConvPlan(NamedTuple):
+    """Everything of a conv that depends only on its input and kernel shapes."""
+
+    out_shape: tuple[int, ...]
+    out_mat_shape: tuple[int, ...]  # (batch, c_out, positions)
+    x_mat_shape: tuple[int, ...]    # (batch, c_in, positions)
+    dw_shape: tuple[int, ...]       # (taps[0], c_in, c_out, *taps[1:]), flipped
+    flip: tuple[slice, ...]         # reverses every spatial axis of a kernel
+    x: _Unfold                      # the input's unfolding
+    g: _Unfold                      # the output gradient's unfolding
+
+
+@functools.lru_cache(maxsize=64)
+def _conv_plan(x_shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> _ConvPlan:
+    """Conv's shape checks and its shape-only work, done once per shape pair.
+
+    A bad shape raises on every call, since a raised exception is never
+    cached.  The plan holds no array and no column budget: ``_BLOCK_BYTES``
+    is read by every :func:`_tap_views` call.
+    """
+    d = len(kernel_shape) - 2
+    if d not in (2, 3):
+        raise ValueError(f"conv: kernel must have 2 or 3 spatial dimensions, got {d}")
+    if len(x_shape) != d + 2:
+        raise ValueError(f"conv: input must have shape (batch, channels, *spatial), "
+                         f"got {len(x_shape)} axes for {d} spatial dimensions")
+    if kernel_shape[1] != x_shape[1]:
+        raise ValueError(f"conv: input has {x_shape[1]} channels but kernel expects "
+                         f"{kernel_shape[1]} (kernel axis 1)")
+    taps = kernel_shape[2:]
+    if any(k % 2 == 0 for k in taps):
+        raise ValueError(f"conv: kernel spatial extents must be odd, got {taps}")
+    out_shape = x_shape[:1] + kernel_shape[:1] + x_shape[2:]
+    positions = math.prod(x_shape[2:])
+    return _ConvPlan(
+        out_shape=out_shape,
+        out_mat_shape=out_shape[:2] + (positions,),
+        x_mat_shape=x_shape[:2] + (positions,),
+        dw_shape=taps[:1] + x_shape[1:2] + kernel_shape[:1] + taps[1:],
+        flip=(slice(None),) * 2 + (slice(None, None, -1),) * d,
+        x=_unfold(x_shape, taps),
+        g=_unfold(out_shape, taps),
+    )
+
+
+def _unfold(shape: tuple[int, ...], taps: tuple[int, ...]) -> _Unfold:
+    ext = shape[2:]
+    wide_shape = shape[:2] + tuple(e + k - 1 for e, k in zip(ext, taps))
+    wide_strides = tuple(8 * math.prod(wide_shape[i + 1:]) for i in range(len(wide_shape)))
+    win_shape = shape[:2] + taps[1:] + wide_shape[2:3] + ext[1:]
+    row = math.prod(ext[1:])
+    n = ext[0] * row
+    return _Unfold(
+        wide_shape=wide_shape,
+        interior=(...,) + tuple(slice(k // 2, k // 2 + e) for k, e in zip(taps, ext)),
+        win_shape=win_shape,
+        win_strides=wide_strides[:2] + wide_strides[3:] + wide_strides[2:],
+        image_bytes=8 * math.prod(win_shape[1:]),
+        cols_shape=(shape[1] * math.prod(taps[1:]), wide_shape[2] * row),
+        taps=tuple(slice(k * row, k * row + n) for k in range(taps[0])),
+    )
+
+
+def _tap_views(a: np.ndarray, u: _Unfold):
     """Yield (batch slice, views) per block of whole images of ``a`` (batch,
-    c, *spatial), zero-padded by taps[i] // 2 per side of spatial axis i.
+    c, *spatial), zero-padded by taps[i] // 2 per side of spatial axis i, as
+    planned in ``u`` by :func:`_unfold`.
 
     A block holds as many images as fit ``_BLOCK_BYTES`` of columns, at least
     one: the padded input unfolded over taps[1:], with positions over the
@@ -220,31 +288,31 @@ def _tap_views(a: np.ndarray, taps: tuple[int, ...]):
     first-axis tap k's columns, is then a contiguous slice of it, valid until
     the next block is drawn.
     """
-    ext = a.shape[2:]
-    wide = np.zeros(a.shape[:2] + tuple(e + k - 1 for e, k in zip(ext, taps)))
-    wide[(...,) + tuple(slice(k // 2, k // 2 + e) for k, e in zip(taps, ext))] = a
+    wide = np.zeros(u.wide_shape)
+    wide[u.interior] = a
     # tap and position offsets both step by wide's strides: the windows
     # overlap, so the view must never be written
-    win = np.ndarray(a.shape[:2] + taps[1:] + wide.shape[2:3] + ext[1:], buffer=wide,
-                     strides=wide.strides[:2] + wide.strides[3:] + wide.strides[2:])
-    row = math.prod(ext[1:])
-    n = ext[0] * row
-    step = max(1, _BLOCK_BYTES // (8 * math.prod(win.shape[1:])))
-    buf = np.empty((min(step, a.shape[0]),) + win.shape[1:])
+    win = np.ndarray(u.win_shape, buffer=wide, strides=u.win_strides)
+    step = max(1, _BLOCK_BYTES // u.image_bytes)
+    buf = np.empty((min(step, a.shape[0]),) + u.win_shape[1:])
     for start in range(0, a.shape[0], step):
         block = buf[:a.shape[0] - start]
         np.copyto(block, win[start:start + step])
-        cols = block.reshape(block.shape[0], -1, wide.shape[2] * row)
-        yield slice(start, start + step), [cols[..., k * row:k * row + n]
-                                           for k in range(taps[0])]
+        cols = block.reshape((block.shape[0],) + u.cols_shape)
+        yield slice(start, start + step), [cols[:, :, t] for t in u.taps]
 
 
-def _tap_sum(w: np.ndarray, views: list[np.ndarray], out: np.ndarray | None = None):
-    """The (images, c_out, positions) correlation of one block with ``w``
-    (c_out, c_in, *taps): one GEMM per first-axis tap k, of w[:, :, k] with
-    ``views[k]`` from :func:`_tap_views`, summed in tap order into ``out``
-    (a new array when None)."""
-    w_taps = w.swapaxes(0, 2).swapaxes(1, 2).reshape(w.shape[2], w.shape[0], -1)
+def _tap_major(w: np.ndarray) -> np.ndarray:
+    """``w`` (c_out, c_in, *taps) laid out as (taps[0], c_out, c_in *
+    prod(taps[1:])): one GEMM operand per first-axis tap."""
+    return w.swapaxes(0, 2).swapaxes(1, 2).reshape(w.shape[2], w.shape[0], -1)
+
+
+def _tap_sum(w_taps: np.ndarray, views: list[np.ndarray], out: np.ndarray | None = None):
+    """The (images, c_out, positions) correlation of one block with the
+    kernel laid out by :func:`_tap_major`: one GEMM per first-axis tap k, of
+    w_taps[k] with ``views[k]`` from :func:`_tap_views`, summed in tap order
+    into ``out`` (a new array when None)."""
     out = np.matmul(w_taps[0], views[0], out=out)
     for w_k, view in zip(w_taps[1:], views[1:]):
         out += np.matmul(w_k, view)
@@ -275,8 +343,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.ndim < 3:
         raise ValueError("global_avg_pool: input must have shape (batch, channels, *spatial)")
     batch, c = x.shape[:2]
-    count = int(np.prod(x.shape[2:]))
-    return _node(x.data.reshape(batch, c, -1).mean(axis=2),
+    count = math.prod(x.shape[2:])
+    # what np.mean computes, bit for bit, without its Python layer
+    return _node(x.data.reshape(batch, c, -1).sum(axis=2) / count,
                  (x, lambda g: (g / count).reshape((batch, c) + (1,) * (x.ndim - 2))))
 
 

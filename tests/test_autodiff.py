@@ -204,6 +204,55 @@ class TestConvInOneRowBlocks(ConvBatchChecks):
         monkeypatch.setattr(setsum.autodiff, "_BLOCK_BYTES", 1)
 
 
+class TestConvPlan:
+    """Conv's shape-only work is planned once per (input shape, kernel shape);
+    the column budget and the shape checks still act on every call."""
+
+    def test_budget_is_read_after_the_plan_exists(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(3, 2, 7, 6)))
+        kernel = Tensor(rng.normal(size=(4, 2, 3, 3)))
+        want = conv(x, kernel).data
+        plan = setsum.autodiff._conv_plan(x.shape, kernel.shape)
+        assert len(list(setsum.autodiff._tap_views(x.data, plan.x))) == 1
+        monkeypatch.setattr(setsum.autodiff, "_BLOCK_BYTES", 1)
+        blocks = [b for b, _ in setsum.autodiff._tap_views(x.data, plan.x)]
+        assert blocks == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        npt.assert_array_equal(conv(x, kernel).data.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("x_shape, kernel_shape, message", [
+        ((1, 1, 4), (1, 1, 3), "2 or 3 spatial dimensions"),
+        ((1, 1, 4, 4, 4), (1, 1, 3, 3), "got 5 axes for 2 spatial dimensions"),
+        ((1, 3, 4, 4), (1, 2, 3, 3), "kernel axis 1"),
+        ((1, 1, 4, 4), (1, 1, 3, 2), "must be odd"),
+    ], ids=["rank", "axes", "channels", "even"])
+    def test_shape_errors_raise_on_every_call(self, x_shape, kernel_shape, message):
+        x, kernel = Tensor(np.zeros(x_shape)), Tensor(np.zeros(kernel_shape))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                conv(x, kernel)
+
+    def test_cache_is_bounded_and_holds_no_arrays(self):
+        plan_of = setsum.autodiff._conv_plan
+        assert plan_of.cache_info().maxsize is not None
+        shapes = [((2, 3, 5, 6), (4, 3, 3, 3)), ((1, 2, 4, 5, 3), (3, 2, 1, 3, 5))]
+        for x_shape, kernel_shape in shapes:
+            conv(Tensor(np.zeros(x_shape)), Tensor(np.zeros(kernel_shape)))
+
+        def leaves(v):
+            if isinstance(v, tuple):
+                for item in v:
+                    yield from leaves(item)
+            else:
+                yield v
+
+        for x_shape, kernel_shape in shapes:
+            hits = plan_of.cache_info().hits
+            found = list(leaves(plan_of(x_shape, kernel_shape)))
+            assert plan_of.cache_info().hits == hits + 1
+            assert found and all(isinstance(v, (int, slice, type(...))) for v in found), found
+
+
 class TestRelu:
     def test_definition(self):
         npt.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
@@ -250,6 +299,14 @@ class TestGlobalAvgPool:
         x = np.random.default_rng(4).normal(size=(3, 7, 7))
         expected = np.array([x[c].sum() / 49.0 for c in range(3)])
         npt.assert_allclose(global_avg_pool(Tensor(x[None])).data[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 7, 5), (2, 3, 1, 6), (1, 2, 1, 1), (2, 3, 4, 1, 5),
+                                       (1, 1, 1, 1, 1), (4, 2, 6, 5, 3)])
+    def test_bits_equal_numpy_mean(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(size=shape) * 10.0 ** np.arange(shape[-1])
+        want = x.reshape(shape[0], shape[1], -1).mean(axis=2)
+        npt.assert_array_equal(global_avg_pool(Tensor(x)).data.view(np.uint64),
+                               want.view(np.uint64))
 
 
 class TestFullyConnected:
