@@ -8,11 +8,10 @@ parameters reachable from the loss.  A gradient lives only while the pass
 needs it, and afterwards only leaves hold one; closures are kept, so a graph
 can be backpropagated again.  A closure never refers to its own node, so a
 finished graph holds no reference cycle and is freed as soon as the last
-reference to it is dropped.  Every primitive but conv and rows declares one
-gradient pull per parent through ``_node``, which installs the closure; conv
-keeps its own to take both gradients from one unfolding of the output
-gradient, block by block, and rows to add into its one row, where a full-size
-pull could flip the sign of zero in the other rows.
+reference to it is dropped.  Every primitive but conv declares one gradient
+pull per parent through ``_node``, which installs the closure; conv keeps its
+own to take both gradients from one unfolding of the output gradient, block
+by block.
 
 Only the primitives the count/volume regressor needs are implemented:
 same-padded 2D/3D cross-correlation, ReLU, channel concatenation, global
@@ -364,16 +363,15 @@ def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
 
 def rows(x: Tensor) -> list[Tensor]:
     """The items of a batch: ``rows(x)[b]`` is ``x[b]``, and its gradient flows
-    into row b of ``x``."""
-    items = []
-    for b in range(x.shape[0]):
-        item = _result(x.data[b], (x,))
-        if item.requires_grad:
-            def _bw(g, b=b):
-                x.grad[b] += g
-            item._backward = _bw
-        items.append(item)
-    return items
+    into row b of ``x`` as a pull of zeros with row b set."""
+    return [_node(x.data[b], (x, functools.partial(_into_row, x.shape, b)))
+            for b in range(x.shape[0])]
+
+
+def _into_row(shape: tuple[int, ...], b: int, g: np.ndarray) -> np.ndarray:
+    full = np.zeros(shape)
+    full[b] = g
+    return full
 
 
 def dropout_apply(x: Tensor, rate: float,

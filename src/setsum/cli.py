@@ -61,13 +61,16 @@ def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
     return data_mod.read_manifest(path, label_kind=config["data.label_kind"])
 
 
-def _echo_config(config: RunConfig) -> None:
-    """Write the resolved config to ``output_dir``.  Commands call it just
+def _echo_config(config: RunConfig, name: str) -> Path:
+    """Write the resolved config to ``output_dir``, then create and return the
+    command's output directory ``output_dir/name``.  Commands call it just
     before writing their outputs, so one that fails leaves the echo of the
     run whose artifacts the directory holds."""
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out / "config_resolved.cfg", config_text(config).encode("utf-8"))
+    (out / name).mkdir(exist_ok=True)
+    return out / name
 
 
 def _build_or_resume(config: RunConfig):
@@ -89,8 +92,7 @@ def _build_or_resume(config: RunConfig):
 
 
 def cmd_generate(config: RunConfig, args) -> int:
-    _echo_config(config)
-    out_dir = Path(config["output_dir"]) / "dataset"
+    out_dir = _echo_config(config, "dataset")
     manifest = data_mod.generate_dataset(
         out_dir, config.synthetic,
         config["data.num_train"], config["data.num_val"], config["data.num_test"],
@@ -109,9 +111,7 @@ def cmd_train(config: RunConfig, args) -> int:
     model, history = train(model, manifest, train_config,
                            np.random.default_rng([config.seed, 3]))
     elapsed = time.perf_counter() - started
-    _echo_config(config)
-    out_dir = Path(config["output_dir"]) / "train"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _echo_config(config, "train")
     save_model(model, out_dir / "model.ssrm")
     data_mod.write_csv(out_dir / "history.csv", ["epoch", "train_loss", "val_mse"],
                        zip(range(train_config.epochs), history.train_loss, history.val_mse))
@@ -134,9 +134,7 @@ def cmd_eval(config: RunConfig, args) -> int:
     predictions = infer(model, manifest, "test")
     truths = [manifest.label_of(r) for r in records]
     report = evaluate_pairs(truths, predictions)
-    _echo_config(config)
-    out_dir = Path(config["output_dir"]) / "eval"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _echo_config(config, "eval")
     data_mod.write_csv(out_dir / "predictions.csv", ["path", "truth", "prediction"],
                        zip((r.path for r in records), truths, predictions))
     data_mod.write_csv(out_dir / "metrics.csv", ["mse", "mae", "icc", "n"],
@@ -155,9 +153,7 @@ def cmd_curve(config: RunConfig, args) -> int:
         arch=config.arch, config=config.train, master_seed=config.seed,
         jobs=args.jobs)
     elapsed = time.perf_counter() - started
-    _echo_config(config)
-    out_dir = Path(config["output_dir"]) / "curve"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _echo_config(config, "curve")
     write_job_csv(out_dir / "curve_jobs.csv", results)
     write_aggregate_csv(out_dir / "curve_aggregate.csv", results)
     print(f"{len(results)} jobs over sizes {list(sizes)} and methods {list(methods)} "

@@ -99,9 +99,9 @@ class SyntheticConfig:
             raise ValueError("noise_sigma must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if min(self.image_extent) < 4 * self.blob_sigma_range[1]:
+        if min(self.image_extent) <= 4 * self.blob_sigma_range[1]:
             raise ValueError(f"image extent {self.image_extent} too small for blobs of "
-                             f"sigma up to {self.blob_sigma_range[1]} (needs >= 4x sigma)")
+                             f"sigma up to {self.blob_sigma_range[1]} (needs > 4x sigma)")
 
 
 _PLACEMENT_TRIES = 200
@@ -238,6 +238,8 @@ def read_tensor(path) -> np.ndarray:
     if len(blob) < 6:
         raise TensorFormatError(f"{path}: truncated header")
     ndim = blob[5]
+    if ndim == 0:
+        raise TensorFormatError(f"{path}: dimension count 0, a tensor has at least 1")
     header_end = 6 + 4 * ndim
     if len(blob) < header_end:
         raise TensorFormatError(f"{path}: truncated extent list ({ndim} dims declared)")

@@ -1,18 +1,16 @@
 """The training loop, inference, and the learning-curve experiment harness.
 
-All three training methods run through one loop.  A training step is a
-list of sets, each a list of image slots scored against one label; the
-step's loss is the mean of the sets' grouped losses, followed by one
-Adadelta step.  The methods differ only in what a step's sets are:
+All three training methods run through one loop and one sampler.  Each
+epoch, :func:`make_epoch_sets` splits a fresh permutation of the training
+images into sets of ``n`` slots (black-padded, black-substituted with
+probability ``p``), each scored against its summed label.  A step is ``b``
+consecutive sets; its loss is the mean of their grouped losses, followed by
+one Adadelta step.  The methods differ only in ``n``, ``p`` and ``b``:
 
-* ``setsum``: each epoch partitions a fresh permutation of the training
-  images into sets of ``n`` (black-padded, black-substituted with
-  probability ``p``); a step is one set against its summed label
-  (ceil(m/n) steps per epoch; ``batch_size`` is not used).
-* ``baseline``: a step is a mini-batch of ``batch_size`` one-image sets
-  (ceil(m/b) steps per epoch; equal cadence when b = n).
+* ``setsum``: ``n`` and ``p`` as configured, ``b = 1`` (ceil(m/n) steps).
+* ``baseline``: ``n = 1``, ``p = 0``, ``b = batch_size`` (ceil(m/b) steps).
 * ``mixup``: as baseline, but each image is linearly combined with a
-  shuffled partner from its batch, with lambda ~ uniform(0, 1); a batch of
+  shuffled partner from its step, with lambda ~ uniform(0, 1); a step of
   one image takes its partner from the other training images.
 
 Every run returns the parameters of the epoch with the lowest validation
@@ -69,9 +67,10 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """One training job.
 
-    ``batch_size`` is the baseline and mixup batch; a ``setsum`` step is
-    always one set of ``n`` slots, whatever ``batch_size`` says.  ``mixup``
-    draws each image's partner from its own batch, so it needs a batch of at
+    A step is ``b`` sets of ``n`` slots: ``setsum`` steps one set of ``n``,
+    whatever ``batch_size`` says; ``baseline`` and ``mixup`` step
+    ``batch_size`` one-image sets, whatever ``n`` and ``p`` say.  ``mixup``
+    draws each image's partner from its own step, so it needs a batch of at
     least 2 (and ``train`` needs at least 2 training images).
     """
 
@@ -131,31 +130,29 @@ def _mixed(images, labels, a: int, b: int, aug: Optional[AugmentationConfig],
 def _epoch_steps(images, labels, config: TrainConfig, rng: np.random.Generator):
     """Yield one epoch's optimizer steps, each an iterable of ``(slots, label)`` sets.
 
-    A setsum step is one set of ``n`` slots (``None`` is black) scored against
-    its virtual label; a baseline or mixup step is a batch of one-image sets.
-    Sets are built lazily, so each set's augmentation draws come just before
-    the dropout draws of its loss; with dropout on, that order is what keeps
-    baseline and mixup runs bit-identical to per-sample training.
+    A step is ``b`` sets of ``n`` slots (``None`` is black), as the module
+    docstring sets out.  Sets are built lazily, so each set's augmentation
+    draws come just before the dropout draws of its loss; with dropout on,
+    that order is what keeps baseline and mixup runs bit-identical to
+    per-sample training.
     """
     aug = config.augmentation
-    if config.method == "setsum":
-        for s in make_epoch_sets(labels, config.n, config.p, rng):
-            slots = [None if i is None else _augmented(images[i], aug, rng) for i in s.slots]
-            yield [(slots, s.virtual_label)]
-        return
-    order = rng.permutation(len(images))
-    for start in range(0, len(order), config.batch_size):
-        batch = order[start:start + config.batch_size]
+    n, p, b = (config.n, config.p, 1) if config.method == "setsum" else (1, 0.0, config.batch_size)
+    sets = make_epoch_sets(labels, n, p, rng)
+    for start in range(0, len(sets), b):
+        step = sets[start:start + b]
         if config.method == "mixup":
+            batch = [s.slots[0] for s in step]
             if len(batch) > 1:
-                partners = batch[rng.permutation(len(batch))]
+                partners = [batch[j] for j in rng.permutation(len(batch))]
             else:
                 # a lone last image is paired with any other training image
                 other = int(rng.integers(len(images) - 1))
                 partners = [other + (other >= batch[0])]
-            yield (_mixed(images, labels, a, b, aug, rng) for a, b in zip(batch, partners))
+            yield (_mixed(images, labels, i, j, aug, rng) for i, j in zip(batch, partners))
         else:
-            yield (([_augmented(images[i], aug, rng)], labels[i]) for i in batch)
+            yield (([None if i is None else _augmented(images[i], aug, rng) for i in s.slots],
+                    s.virtual_label) for s in step)
 
 
 def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
@@ -229,7 +226,9 @@ def stratified_subsample(labels: Sequence[float], size: int,
     subsample shrinks.
     """
     m = len(labels)
-    if not 1 <= size <= m:
+    if size < 1:
+        raise ValueError(f"subsample size must be at least 1, got {size}")
+    if size > m:
         raise ValueError(f"subsample size {size} exceeds pool of {m}")
     order = np.argsort(np.asarray(labels), kind="stable")
     picks = [int(bin_[rng.integers(len(bin_))]) for bin_ in np.array_split(order, size)]

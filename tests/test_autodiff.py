@@ -194,6 +194,21 @@ class TestBatch(ConvBatchChecks):
         grads = backpropagate(items[0] + items[2] * 2.0)
         npt.assert_array_equal(grads["x"], [[1.0], [0.0], [2.0]])
 
+    def test_rows_gradients_match_per_row_addition_bit_for_bit(self):
+        # row gradients of -0.0, and pulls that cancel to an exact zero, give
+        # the bits of adding each gradient into its own zero-filled row: the
+        # zero rows of every full-size pull change no bit of the others
+        x = parameter(np.zeros((3, 2)), "x")
+        items = rows(x)
+        x.grad = np.zeros(x.shape)
+        want = np.zeros(x.shape)
+        for b, g in ((0, [-0.0, 1.5]), (1, [-0.0, -0.0]), (2, [2.0, -0.0]),
+                     (0, [-0.0, -1.5]), (1, [-0.0, -0.0]), (2, [-2.0, 0.5])):
+            items[b]._backward(np.array(g))
+            want[b] += g
+        assert x.grad.tobytes() == want.tobytes()
+        assert not np.signbit(want).any()
+
 
 class TestConvInOneRowBlocks(ConvBatchChecks):
     """ConvBatchChecks with a one-byte column budget, so every conv unfolds its

@@ -127,6 +127,15 @@ class TestParsing:
         config = parse_config_file(write_config(tmp_path, "augment.enabled=false\n"))
         assert config.train_config().augmentation is None
 
+    def test_readme_configs_parse(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            text = re.sub(r"^output_dir=.*$", lambda _: f"output_dir={tmp_path}", block,
+                          flags=re.M)
+            assert parse_config_text(text)["output_dir"] == str(tmp_path)
+
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -208,9 +217,11 @@ class TestCli:
         ("curve.methods=setsum,magic", "curve: method must be one of"),
         ("data.num_train=-1", "data.num_train must be non-negative, got -1"),
         ("data.num_val=-2", "data.num_val must be non-negative, got -2"),
-        ("data.num_test=-3", "data.num_test must be non-negative, got -3")],
+        ("data.num_test=-3", "data.num_test must be non-negative, got -3"),
+        ("data.blob_sigma_range=2.0,2.0", "data: image extent (8, 8) too small for blobs of "
+                                          "sigma up to 2.0 (needs > 4x sigma)")],
         ids=["data", "arch", "augment", "train", "even-kernel", "crop", "curve-method",
-             "num-train", "num-val", "num-test"])
+             "num-train", "num-val", "num-test", "sigma"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2

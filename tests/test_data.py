@@ -51,6 +51,12 @@ class TestGenerateBlobImage:
         with pytest.raises(ValueError, match="4x sigma"):
             SyntheticConfig(image_extent=(4, 4), blob_sigma_range=(1.0, 1.5))
 
+    def test_extent_of_exactly_4x_sigma_rejected(self):
+        # placement keeps 2 sigma from each border, which leaves no room here
+        with pytest.raises(ValueError, match="needs > 4x sigma"):
+            SyntheticConfig(image_extent=(4, 4), blob_sigma_range=(1.0, 1.0),
+                            blob_count_range=(1, 1))
+
     def test_dims_follow_image_extent(self):
         assert SyntheticConfig(image_extent=(8, 8, 8)).dims == 3
         with pytest.raises(ValueError, match="2 or 3 extents"):
@@ -159,6 +165,13 @@ class TestTensorFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])  # drop one value
         with pytest.raises(TensorFormatError, match="declares 100"):
+            read_tensor(path)
+
+    def test_rank_zero_rejected(self, tmp_path):
+        # write_tensor refuses a rank-0 array, so no valid file declares 0 dims
+        path = tmp_path / "t.sstf"
+        path.write_bytes(b"SSTF1\x00" + np.float64(3.5).tobytes())
+        with pytest.raises(TensorFormatError, match="dimension count 0"):
             read_tensor(path)
 
     def test_truncated_header(self, tmp_path):

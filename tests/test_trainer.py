@@ -153,6 +153,23 @@ class TestTrain:
         train(fresh_model(), dataset, cfg, np.random.default_rng(15))
         assert len(calls) == 2 * ((m + 4) // 5)
 
+    @pytest.mark.parametrize("method, n, p", [("setsum", 4, 0.1), ("baseline", 1, 0.0),
+                                              ("mixup", 1, 0.0)])
+    def test_every_method_samples_with_make_epoch_sets(self, dataset, monkeypatch,
+                                                       method, n, p):
+        # baseline and mixup draw sets of one image with no black slots
+        calls = []
+        original = trainer_mod.make_epoch_sets
+
+        def recording(labels, n, p, rng):
+            calls.append((len(labels), n, p))
+            return original(labels, n, p, rng)
+
+        monkeypatch.setattr(trainer_mod, "make_epoch_sets", recording)
+        cfg = TrainConfig(epochs=2, method=method, n=4, p=0.1, batch_size=3)
+        train(fresh_model(), dataset, cfg, np.random.default_rng(15))
+        assert calls == [(12, n, p)] * 2
+
     def test_lone_mixup_image_gets_another_partner(self, tmp_path, monkeypatch):
         # m = 7 and b = 3 leave a last batch of one image in every epoch
         manifest = generate_dataset(tmp_path, SYNTH, 7, 2, 1)
@@ -237,6 +254,11 @@ class TestStratifiedSubsample:
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="exceeds pool"):
             stratified_subsample([1.0, 2.0], 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match=f"subsample size must be at least 1, got {size}"):
+            stratified_subsample([1.0, 2.0, 3.0], size, np.random.default_rng(0))
 
 
 def serial_pool(monkeypatch) -> list:
