@@ -80,18 +80,12 @@ def make_epoch_sets(labels: Sequence[float], n: int, p: float,
     m = len(labels)
     if m < 1:
         raise ValueError("make_epoch_sets needs a non-empty pool")
-    perm = rng.permutation(m)
-    groups = [list(perm[i:i + n]) for i in range(0, m, n)]
-    sets = []
-    for group in groups:
-        slots: list[Optional[int]] = list(group) + [None] * (n - len(group))
-        if p > 0.0:
-            for j, s in enumerate(slots):
-                if s is not None and rng.random() < p:
-                    slots[j] = None
-        label = virtual_label([labels[s] for s in slots if s is not None])
-        sets.append(SampleSet(tuple(None if s is None else int(s) for s in slots), label))
-    return sets
+    slots: list[Optional[int]] = rng.permutation(m).tolist()
+    if p > 0.0:
+        slots = [None if black else s for s, black in zip(slots, rng.random(m) < p)]
+    slots += [None] * (-m % n)
+    return [SampleSet(tuple(group), virtual_label([labels[s] for s in group if s is not None]))
+            for group in (slots[i:i + n] for i in range(0, len(slots), n))]
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,14 @@ class AugmentationConfig:
     ``flip_axes`` lists spatial axes (0-based) eligible for a coin-flip
     mirror; rotation angles are uniform in +-``rotation_range_radians``
     (in-plane for 2D, one angle per axis for 3D); translations are uniform
-    integers in +-``translation_range_voxels`` per axis, zero-filled.
+    integers in +-``translation_range_voxels`` per axis, zero-filled.  The
+    default, no flip axes and zero ranges, is the identity: it draws nothing
+    and returns its input, and it is how a run trains without augmentation.
     """
 
     flip_axes: tuple[int, ...] = ()
-    rotation_range_radians: float = 0.2
-    translation_range_voxels: int = 2
+    rotation_range_radians: float = 0.0
+    translation_range_voxels: int = 0
 
     def __post_init__(self):
         if self.rotation_range_radians < 0:

@@ -14,7 +14,10 @@ together; the only single keys it checks are ``data.label_kind`` and the
 split sizes ``data.num_*``, which no module config built at parse holds.
 ``train.batch_size`` is the baseline and mixup batch (a setsum step is one
 set of ``train.n``), and ``augment.flip_axes=all`` flips every axis of
-``data.image_extent``.  A curve job trains with ``train.*`` and its method.
+``data.image_extent``.  The ``augment.*`` ranges are checked whatever
+``augment.enabled`` says; with ``augment.enabled=false`` training gets the
+identity ``AugmentationConfig()``.  A curve job trains with ``train.*`` and
+its method.
 """
 
 from __future__ import annotations
@@ -151,14 +154,12 @@ def parse_config_text(text: str, seed_override: int | None = None) -> RunConfig:
         conv_blocks=v["arch.conv_blocks"],
         skip_connections=v["arch.skip_connections"],
         dropout_rate=v["arch.dropout_rate"])
-    augment = None
-    if v["augment.enabled"]:
-        axes = v["augment.flip_axes"]
-        augment = _build(
-            "augment", AugmentationConfig,
-            flip_axes=tuple(range(len(v["data.image_extent"]))) if axes == "all" else axes,
-            rotation_range_radians=v["augment.rotation_range"],
-            translation_range_voxels=v["augment.translation_range"])
+    axes = v["augment.flip_axes"]
+    augment = _build(
+        "augment", AugmentationConfig,
+        flip_axes=tuple(range(len(v["data.image_extent"]))) if axes == "all" else axes,
+        rotation_range_radians=v["augment.rotation_range"],
+        translation_range_voxels=v["augment.translation_range"])
     batch = v["train.batch_size"]
     if batch is None:
         # a curve's baseline jobs under a setsum config train in batches of n
@@ -171,7 +172,7 @@ def parse_config_text(text: str, seed_override: int | None = None) -> RunConfig:
         p=v["train.p"],
         loss_kind=v["train.loss"],
         batch_size=batch,
-        augmentation=augment)
+        augmentation=augment if v["augment.enabled"] else AugmentationConfig())
     _build("curve", check_curve_grid, sizes=v["curve.sizes"], methods=v["curve.methods"],
            num_seeds=v["curve.num_seeds"])
     for method in v["curve.methods"]:

@@ -117,8 +117,6 @@ def _place_centers(sigmas: np.ndarray, extent: tuple[int, ...],
         margin = 2.0 * sigmas[i]
         lo = np.full(len(extent), margin)
         hi = np.asarray(extent, dtype=np.float64) - margin
-        if np.any(hi <= lo):
-            raise ValueError(f"blob of sigma {sigmas[i]:.3f} does not fit extent {extent}")
         for _ in range(_PLACEMENT_TRIES):
             c = rng.uniform(lo, hi)
             gaps = np.linalg.norm(centers[:i] - c, axis=1)

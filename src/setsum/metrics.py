@@ -108,8 +108,7 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, fl
     """Williams' t for H0: rho12 = rho13 with variable 1 shared by both.
 
     Returns ``(t, two-sided p)`` with n-3 degrees of freedom, or ``None``
-    when the correlation triple is degenerate (K <= 0 or a non-positive
-    variance term).
+    when the correlation triple is degenerate (K <= 0).
     """
     for label, r in (("r12", r12), ("r13", r13), ("r23", r23)):
         if not -1.0 <= r <= 1.0:
@@ -121,8 +120,6 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> tuple[float, fl
         return None
     rbar = 0.5 * (r12 + r13)
     denom = 2.0 * k_det * (n - 1) / (n - 3) + rbar * rbar * (1.0 - r23) ** 3
-    if denom <= 0.0:
-        return None
     if r12 == r13:
         return 0.0, 1.0
     t = (r12 - r13) * math.sqrt((n - 1) * (1.0 + r23) / denom)

@@ -24,7 +24,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from multiprocessing import get_context
 from typing import Optional, Sequence
 
@@ -71,7 +71,9 @@ class TrainConfig:
     whatever ``batch_size`` says; ``baseline`` and ``mixup`` step
     ``batch_size`` one-image sets, whatever ``n`` and ``p`` say.  ``mixup``
     draws each image's partner from its own step, so it needs a batch of at
-    least 2 (and ``train`` needs at least 2 training images).
+    least 2 (and ``train`` needs at least 2 training images).  Every real
+    image goes through ``augmentation`` as its set is built; the default,
+    the identity ``AugmentationConfig()``, trains on the images as stored.
     """
 
     epochs: int
@@ -80,7 +82,7 @@ class TrainConfig:
     p: float = 0.1
     loss_kind: str = "mse"
     batch_size: int = 4
-    augmentation: Optional[AugmentationConfig] = None
+    augmentation: AugmentationConfig = AugmentationConfig()
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -107,22 +109,17 @@ class TrainHistory:
     best_epoch: int = 0
 
 
-def _augmented(image: np.ndarray, aug: Optional[AugmentationConfig],
-               rng: np.random.Generator) -> np.ndarray:
-    return image if aug is None else random_geometric_augment(image, aug, rng)
-
-
 def _check_finite(value: float, epoch: int, where: str) -> float:
     if not math.isfinite(value):
         raise TrainingDiverged(epoch, where)
     return value
 
 
-def _mixed(images, labels, a: int, b: int, aug: Optional[AugmentationConfig],
+def _mixed(images, labels, a: int, b: int, aug: AugmentationConfig,
            rng: np.random.Generator) -> tuple[list[np.ndarray], float]:
     lam = float(rng.uniform(0.0, 1.0))
-    xa = _augmented(images[a], aug, rng)
-    xb = _augmented(images[b], aug, rng)
+    xa = random_geometric_augment(images[a], aug, rng)
+    xb = random_geometric_augment(images[b], aug, rng)
     x, y = mixup_pair(xa, labels[a], xb, labels[b], lam)
     return [x], y
 
@@ -151,7 +148,8 @@ def _epoch_steps(images, labels, config: TrainConfig, rng: np.random.Generator):
                 partners = [other + (other >= batch[0])]
             yield (_mixed(images, labels, i, j, aug, rng) for i, j in zip(batch, partners))
         else:
-            yield (([None if i is None else _augmented(images[i], aug, rng) for i in s.slots],
+            yield (([None if i is None else random_geometric_augment(images[i], aug, rng)
+                     for i in s.slots],
                     s.virtual_label) for s in step)
 
 
@@ -349,8 +347,7 @@ def learning_curve_experiment(manifest: DatasetManifest, sizes: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def write_job_csv(path, results: Sequence[CurveJobResult]) -> None:
-    write_csv(path, ["size", "method", "seed", "test_mse", "test_icc"],
-              ([r.size, r.method, r.seed, r.test_mse, r.test_icc] for r in results))
+    write_csv(path, [f.name for f in fields(CurveJobResult)], map(astuple, results))
 
 
 def _mean_std(values: Sequence[float]) -> tuple[Optional[float], Optional[float]]:

@@ -7,6 +7,7 @@ own compute paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -90,6 +91,12 @@ def icc_two_way_table(truth, prediction) -> float:
     ms_cols = ss_cols / (k - 1)
     ms_err = ss_err / ((n - 1) * (k - 1))
     return (ms_rows - ms_err) / (ms_rows + ms_err + (k / n) * (ms_cols - ms_err))
+
+
+def enumerate_combinations(m: int, n: int) -> int:
+    """Number of non-empty sets of at most n from a pool of m, by listing them."""
+    return sum(1 for size in range(1, n + 1)
+               for _ in itertools.combinations(range(m), size))
 
 
 def williams_t_direct(r12: float, r13: float, r23: float, n: int) -> float:

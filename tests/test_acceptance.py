@@ -7,7 +7,6 @@ check (criterion 1) takes most of the suite's runtime.
 
 import csv
 import hashlib
-import itertools
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -27,8 +26,8 @@ from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_fo
                               _forward)
 from setsum.trainer import CurveJobResult, TrainConfig, train, write_aggregate_csv
 
-from oracles import (correlation_triple, finite_difference, icc_two_way_table,
-                     relative_error, williams_t_direct)
+from oracles import (correlation_triple, enumerate_combinations, finite_difference,
+                     icc_two_way_table, relative_error, williams_t_direct)
 
 DESK = ArchitectureConfig(input_shape=(1, 16, 16))
 
@@ -201,12 +200,8 @@ def test_criterion_04_grouped_loss_not_minibatch_sgd():
 
 def test_criterion_05_combination_counts():
     """count_combinations matches exhaustive enumeration and is exact."""
-    def enumerate_count(m, n):
-        return sum(1 for size in range(1, n + 1)
-                   for _ in itertools.combinations(range(m), size))
-
-    assert count_combinations(4, 2) == 10 == enumerate_count(4, 2)
-    assert count_combinations(25, 4) == 15275 == enumerate_count(25, 4)
+    assert count_combinations(4, 2) == 10 == enumerate_combinations(4, 2)
+    assert count_combinations(25, 4) == 15275 == enumerate_combinations(25, 4)
     assert isinstance(count_combinations(25, 4), int)
     big = count_combinations(1000, 500)
     assert big.bit_length() > 900  # far beyond float64, stays exact

@@ -94,7 +94,7 @@ def _assert_workload_hooks_reached(tmp_path, monkeypatch, config: TrainConfig):
              "load_split"]
     if config.method == "setsum":
         names.append("make_epoch_sets")
-    if config.augmentation is not None:
+    if config.augmentation != AugmentationConfig():
         names.append("random_geometric_augment")
     names += list(instrument.PRIMITIVES) + ["__sub__", "__mul__"]
     if config.method == "setsum" or config.batch_size > 1:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from setsum.augment import AugmentationConfig
 from setsum.cli import main
 from setsum.config import ConfigError, config_text, parse_config_file, parse_config_text
 from setsum.data import read_manifest, write_tensor
@@ -118,14 +119,14 @@ class TestParsing:
         config = parse_config_file(write_config(tmp_path))
         tc = config.train_config()
         assert tc.method == "setsum" and tc.n == 2 and tc.batch_size == 2
-        assert tc.augmentation is not None
+        assert tc.augmentation != AugmentationConfig()
         assert tc.augmentation.flip_axes == (0, 1)
         baseline = parse_config_file(write_config(tmp_path, "train.method=baseline\n"))
         assert baseline.train_config().batch_size == 4
 
     def test_augment_disabled(self, tmp_path):
         config = parse_config_file(write_config(tmp_path, "augment.enabled=false\n"))
-        assert config.train_config().augmentation is None
+        assert config.train_config().augmentation == AugmentationConfig()
 
     def test_readme_configs_parse(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -210,6 +211,8 @@ class TestCli:
         ("data.blob_count_range=3,1", "data: blob_count_range has min > max"),
         ("arch.dropout_rate=1.5", "arch: dropout_rate must be in [0, 1), got 1.5"),
         ("augment.translation_range=-1", "augment: translation range must be non-negative"),
+        ("augment.translation_range=-1\naugment.enabled=false",
+         "augment: translation range must be non-negative"),
         ("train.p=2", "train: p must be in [0, 1], got 2.0"),
         ("arch.conv_blocks=3:3,4:2", "arch: conv block 2 has invalid (maps, kernel) = (4, 2)"),
         ("data.crop_extent=10,10", "data.crop_extent (10, 10) must lie between 1 and "
@@ -220,8 +223,8 @@ class TestCli:
         ("data.num_test=-3", "data.num_test must be non-negative, got -3"),
         ("data.blob_sigma_range=2.0,2.0", "data: image extent (8, 8) too small for blobs of "
                                           "sigma up to 2.0 (needs > 4x sigma)")],
-        ids=["data", "arch", "augment", "train", "even-kernel", "crop", "curve-method",
-             "num-train", "num-val", "num-test", "sigma"])
+        ids=["data", "arch", "augment", "augment-disabled", "train", "even-kernel", "crop",
+             "curve-method", "num-train", "num-val", "num-test", "sigma"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2

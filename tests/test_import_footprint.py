@@ -27,11 +27,12 @@ rng = np.random.default_rng(1)
 setsum.random_geometric_augment(image, setsum.AugmentationConfig(
     flip_axes=(0,), rotation_range_radians=0.0, translation_range_voxels=1), rng)
 stages["unrotated"] = loaded()
-setsum.random_geometric_augment(image, setsum.AugmentationConfig(rotation_range_radians=0.2), rng)
+setsum.random_geometric_augment(image, setsum.AugmentationConfig(
+    rotation_range_radians=0.2, translation_range_voxels=2), rng)
 stages["rotated"] = loaded()
 volume = np.random.default_rng(2).random((1, 6, 6, 6))
 setsum.random_geometric_augment(volume, setsum.AugmentationConfig(
-    flip_axes=(0, 1, 2), rotation_range_radians=0.2), rng)
+    flip_axes=(0, 1, 2), rotation_range_radians=0.2, translation_range_voxels=2), rng)
 stages["rotated_3d"] = loaded()
 setsum.williams_test(0.6, 0.3, 0.4, 30)
 stages["williams"] = loaded()

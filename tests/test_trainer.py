@@ -85,7 +85,9 @@ class TestTrain:
 
     def test_bit_identical_reruns(self, dataset):
         cfg = TrainConfig(epochs=5, method="setsum", n=4, p=0.1, batch_size=4,
-                          augmentation=AugmentationConfig(flip_axes=(0, 1)))
+                          augmentation=AugmentationConfig(flip_axes=(0, 1),
+                                                          rotation_range_radians=0.2,
+                                                          translation_range_voxels=2))
         model_a, hist_a = train(fresh_model(), dataset, cfg, np.random.default_rng(9))
         model_b, hist_b = train(fresh_model(), dataset, cfg, np.random.default_rng(9))
         assert hist_a == hist_b
