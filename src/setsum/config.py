@@ -12,12 +12,16 @@ grid that fails :func:`setsum.trainer.check_curve_grid` or a ``curve.methods``
 entry that ``TrainConfig`` rejects.  This module checks what ties keys
 together; the only single keys it checks are ``data.label_kind`` and the
 split sizes ``data.num_*``, which no module config built at parse holds.
-``train.batch_size`` is the baseline and mixup batch (a setsum step is one
-set of ``train.n``), and ``augment.flip_axes=all`` flips every axis of
-``data.image_extent``.  The ``augment.*`` ranges are checked whatever
-``augment.enabled`` says; with ``augment.enabled=false`` training gets the
-identity ``AugmentationConfig()``.  A curve job trains with ``train.*`` and
-its method.
+``train.batch_size`` is the baseline and mixup batch; unset, it is
+``train.n``, whatever ``train.method`` says, so a curve job's batch does
+not depend on the method it replaces.  ``augment.flip_axes=all`` flips
+every axis of ``data.image_extent``.  The ``augment.*`` ranges are checked
+whatever ``augment.enabled`` says; with ``augment.enabled=false`` training
+gets the identity ``AugmentationConfig()``.  A curve job trains with
+``train.*`` and its method.  A key that fills a field of
+``SyntheticConfig``, ``ArchitectureConfig`` or ``TrainConfig`` takes that
+field's default from the class; the ``seed``, ``train.epochs`` and
+``augment.*`` defaults are the CLI's own.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
     "output_dir": (str, _MISSING),
     "data.image_extent": (parse_list(int), _MISSING),
     "data.dims": (int, 2),
-    "data.blob_count_range": (parse_pair(int), (0, 8)),
-    "data.blob_sigma_range": (parse_pair(parse_float), (0.6, 0.9)),
-    "data.intensity_range": (parse_pair(parse_float), (0.8, 1.2)),
-    "data.noise_sigma": (parse_float, 0.05),
-    "data.volume_threshold": (parse_float, 0.3),
+    "data.blob_count_range": (parse_pair(int), SyntheticConfig.blob_count_range),
+    "data.blob_sigma_range": (parse_pair(parse_float), SyntheticConfig.blob_sigma_range),
+    "data.intensity_range": (parse_pair(parse_float), SyntheticConfig.intensity_range),
+    "data.noise_sigma": (parse_float, SyntheticConfig.noise_sigma),
+    "data.volume_threshold": (parse_float, SyntheticConfig.volume_threshold),
     "data.num_train": (int, 30),
     "data.num_val": (int, 5),
     "data.num_test": (int, 100),
@@ -59,19 +63,19 @@ _SCHEMA: dict[str, tuple[Callable, object]] = {
     "data.rescale": (parse_bool, True),
     "data.label_kind": (str, "count"),
     "data.manifest": (parse_optional(str), None),
-    "arch.conv_blocks": (parse_pair_list, ((8, 3), (16, 3), (24, 3), (32, 3))),
-    "arch.skip_connections": (parse_pair_list, ((1, 3),)),
-    "arch.dropout_rate": (parse_optional(parse_float), None),
+    "arch.conv_blocks": (parse_pair_list, ArchitectureConfig.conv_blocks),
+    "arch.skip_connections": (parse_pair_list, ArchitectureConfig.skip_connections),
+    "arch.dropout_rate": (parse_optional(parse_float), ArchitectureConfig.dropout_rate),
     "augment.enabled": (parse_bool, True),
     "augment.flip_axes": (lambda v: v if v == "all" else parse_list(int)(v), "all"),
     "augment.rotation_range": (parse_float, 0.2),
     "augment.translation_range": (int, 2),
-    "train.method": (str, "setsum"),
+    "train.method": (str, TrainConfig.method),
     "train.epochs": (int, 150),
-    "train.n": (int, 4),
-    "train.p": (parse_float, 0.1),
-    "train.loss": (str, "mse"),
-    "train.batch_size": (parse_optional(int), None),
+    "train.n": (int, TrainConfig.n),
+    "train.p": (parse_float, TrainConfig.p),
+    "train.loss": (str, TrainConfig.loss_kind),
+    "train.batch_size": (parse_optional(int), TrainConfig.batch_size),
     "train.init_model": (parse_optional(str), None),
     "curve.sizes": (parse_list(int), (12, 24)),
     "curve.methods": (parse_list(str.strip), ("setsum", "baseline")),
@@ -160,10 +164,6 @@ def parse_config_text(text: str, seed_override: int | None = None) -> RunConfig:
         flip_axes=tuple(range(len(v["data.image_extent"]))) if axes == "all" else axes,
         rotation_range_radians=v["augment.rotation_range"],
         translation_range_voxels=v["augment.translation_range"])
-    batch = v["train.batch_size"]
-    if batch is None:
-        # a curve's baseline jobs under a setsum config train in batches of n
-        batch = v["train.n"] if v["train.method"] == "setsum" else 4
     train = _build(
         "train", TrainConfig,
         epochs=v["train.epochs"],
@@ -171,7 +171,7 @@ def parse_config_text(text: str, seed_override: int | None = None) -> RunConfig:
         n=v["train.n"],
         p=v["train.p"],
         loss_kind=v["train.loss"],
-        batch_size=batch,
+        batch_size=v["train.batch_size"],
         augmentation=augment if v["augment.enabled"] else AugmentationConfig())
     _build("curve", check_curve_grid, sizes=v["curve.sizes"], methods=v["curve.methods"],
            num_seeds=v["curve.num_seeds"])
@@ -208,12 +208,6 @@ def _validate(values: dict) -> None:
     axes = values["augment.flip_axes"]
     if axes != "all" and any(not 0 <= a < dims for a in axes):
         raise ConfigError(f"augment.flip_axes {axes} out of range for dims={dims}")
-    batch = values["train.batch_size"]
-    if (values["train.method"] == "setsum" and batch is not None
-            and batch != values["train.n"]):
-        raise ConfigError(f"train.batch_size={batch} conflicts with "
-                          f"train.n={values['train.n']}: the setsum method ties "
-                          f"batch size to branch count")
 
 
 def config_text(config: RunConfig) -> str:

@@ -72,7 +72,7 @@ class SyntheticConfig:
 
     image_extent: tuple[int, ...] = (16, 16)
     blob_count_range: tuple[int, int] = (0, 8)
-    blob_sigma_range: tuple[float, float] = (0.5, 0.8)
+    blob_sigma_range: tuple[float, float] = (0.6, 0.9)
     intensity_range: tuple[float, float] = (0.8, 1.2)
     noise_sigma: float = 0.05
     volume_threshold: float = 0.3

@@ -69,11 +69,14 @@ class TrainConfig:
 
     A step is ``b`` sets of ``n`` slots: ``setsum`` steps one set of ``n``,
     whatever ``batch_size`` says; ``baseline`` and ``mixup`` step
-    ``batch_size`` one-image sets, whatever ``n`` and ``p`` say.  ``mixup``
-    draws each image's partner from its own step, so it needs a batch of at
-    least 2 (and ``train`` needs at least 2 training images).  Every real
-    image goes through ``augmentation`` as its set is built; the default,
-    the identity ``AugmentationConfig()``, trains on the images as stored.
+    ``batch_size`` one-image sets, whatever ``n`` and ``p`` say.  Unset,
+    ``batch_size`` is ``n`` whatever the method, so once built it holds the
+    int that trains.
+    ``mixup`` draws each image's partner from its own step, so it needs a
+    batch of at least 2 (and ``train`` needs at least 2 training images).
+    Every real image goes through ``augmentation`` as its set is built; the
+    default, the identity ``AugmentationConfig()``, trains on the images as
+    stored.
     """
 
     epochs: int
@@ -81,10 +84,12 @@ class TrainConfig:
     n: int = 4
     p: float = 0.1
     loss_kind: str = "mse"
-    batch_size: int = 4
+    batch_size: Optional[int] = None
     augmentation: AugmentationConfig = AugmentationConfig()
 
     def __post_init__(self):
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size", self.n)
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if self.method not in METHODS:
@@ -168,8 +173,7 @@ def train(model: RegressorModel, manifest: DatasetManifest, config: TrainConfig,
                          f"got {len(train_imgs)}")
     state = AdadeltaState()
     history = TrainHistory()
-    best_val = math.inf
-    best_params = model.copy_parameter_data()
+    best_val = math.inf  # a finite epoch-0 validation MSE always beats it
     for epoch in range(config.epochs):
         losses = []
         for sets in _epoch_steps(train_imgs, train_labels, config, rng):

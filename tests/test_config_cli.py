@@ -1,5 +1,9 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +12,9 @@ import pytest
 from setsum.augment import AugmentationConfig
 from setsum.cli import main
 from setsum.config import ConfigError, config_text, parse_config_file, parse_config_text
-from setsum.data import read_manifest, write_tensor
+from setsum.data import SyntheticConfig, read_manifest, write_tensor
 from setsum.regressor import ArchitectureConfig, build_base_regressor, save_model
+from setsum.trainer import TrainConfig
 
 BASE = """
 # tiny end-to-end configuration
@@ -82,10 +87,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="data.image_extent"):
             parse_config_text("output_dir=o\n")
 
-    def test_setsum_batch_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="ties batch size"):
-            parse_config_text("output_dir=o\ndata.image_extent=8,8\n"
-                              "train.n=4\ntrain.batch_size=2\n")
+    def test_module_defaults_come_from_the_classes(self):
+        config = parse_config_text("output_dir=o\ndata.image_extent=16,16\n")
+        assert config.synthetic == SyntheticConfig()
+        assert config.arch == ArchitectureConfig(input_shape=(1, 16, 16))
+        assert replace(config.train, augmentation=AugmentationConfig()) == TrainConfig(epochs=150)
+
+    @pytest.mark.parametrize("line", ["train.method=mixup", "curve.methods=setsum,mixup"])
+    def test_mixup_with_default_batch_of_one_rejected(self, line):
+        # the default batch is train.n, whatever the method
+        with pytest.raises(ConfigError, match="mixup needs batch_size >= 2"):
+            parse_config_text(f"output_dir=o\ndata.image_extent=8,8\ntrain.n=1\n{line}\n")
 
     @pytest.mark.parametrize("line, message", [
         ("data.label_kind=area", r"data.label_kind must be one of \('count', 'volume'\)"),
@@ -122,7 +134,7 @@ class TestParsing:
         assert tc.augmentation != AugmentationConfig()
         assert tc.augmentation.flip_axes == (0, 1)
         baseline = parse_config_file(write_config(tmp_path, "train.method=baseline\n"))
-        assert baseline.train_config().batch_size == 4
+        assert baseline.train_config().batch_size == 2
 
     def test_augment_disabled(self, tmp_path):
         config = parse_config_file(write_config(tmp_path, "augment.enabled=false\n"))
@@ -377,6 +389,38 @@ class TestCli:
         main(["generate", str(cfg)])
         assert main(["eval", str(cfg)]) == 2
         assert "model not found" in capsys.readouterr().err
+
+    def test_curve_does_not_depend_on_train_method(self, tmp_path):
+        # BASE sets train.n=2 and leaves train.batch_size unset; each curve job
+        # trains with its own method, so train.method must not reach the rows
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["curve", str(cfg)]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(BASE.format(out=tmp_path / "other") + "train.method=baseline\n"
+                         f"data.manifest={tmp_path / 'out' / 'dataset' / 'manifest.csv'}\n")
+        assert main(["curve", str(other)]) == 0
+        assert ((tmp_path / "other" / "curve" / "curve_jobs.csv").read_bytes()
+                == (tmp_path / "out" / "curve" / "curve_jobs.csv").read_bytes())
+
+    def test_python_m_setsum(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def generate(cfg: Path) -> subprocess.CompletedProcess:
+            return subprocess.run([sys.executable, "-m", "setsum", "generate", str(cfg)],
+                                  env=env, capture_output=True, text=True)
+
+        assert generate(write_config(tmp_path)).returncode == 0
+        assert (tmp_path / "out" / "dataset" / "manifest.csv").is_file()
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        bad = write_config(bad_dir, "data.imag_extent=8,8\n")
+        result = generate(bad)
+        assert result.returncode == 2
+        assert "unknown key 'data.imag_extent'" in result.stderr
+        assert list(bad_dir.iterdir()) == [bad]
 
     def test_curve_rows_and_determinism(self, tmp_path):
         cfg = write_config_with(tmp_path, "train.epochs=2")

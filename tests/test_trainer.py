@@ -49,6 +49,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="mixup needs batch_size >= 2"):
             TrainConfig(epochs=1, method="mixup", batch_size=1)
 
+    @pytest.mark.parametrize("method", ["setsum", "baseline", "mixup"])
+    def test_batch_size_defaults_to_n(self, method):
+        assert TrainConfig(epochs=1, method=method, n=3).batch_size == 3
+        assert TrainConfig(epochs=1, method=method, n=3, batch_size=5).batch_size == 5
+
 
 class TestTrain:
     def test_reduction_setsum_n1_equals_baseline_b1(self, dataset):
