@@ -18,11 +18,13 @@ same-padded 2D/3D cross-correlation, ReLU, channel concatenation, global
 average pooling, fully connected layers, inverted dropout, splitting a
 batch into its rows, and the elementwise arithmetic used to assemble scalar
 losses.  The network primitives take a leading batch axis, (batch,
-channels, *spatial), so one graph carries a whole set of images; pooling
-and the fully connected layer act row by row.  Conv kernels have odd
-extents k, and a conv pads each spatial axis by k // 2 zeros per side, so
-its output keeps the input's extents.  Conv is lowered to GEMMs by
-unfolding along every spatial axis but the first (memory-efficient
+channels, *spatial), so one graph carries a whole set of images, and all
+but dropout compute an image's output from that image alone, so it has the
+same bits in any batch: the fully connected layer is a per-row product and
+sum, not one GEMM over the batch.  Conv kernels have odd extents k, and a
+conv pads each spatial axis by k // 2 zeros per side, so its output keeps
+the input's extents.  Conv is lowered to GEMMs by unfolding along every
+spatial axis but the first (memory-efficient
 convolution; Cho & Brand 2017): the zero-padded input is copied once into
 columns over the other axes' taps, and each first-axis tap is one GEMM on
 a contiguous slice of them.  The backward pass unfolds the output gradient
@@ -350,14 +352,16 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def fully_connected(x: Tensor, weights: Tensor) -> Tensor:
     """Row-wise linear map x W^T with no bias: (batch, in) -> (batch, out);
-    ``weights`` has layout (out, in)."""
+    ``weights`` has layout (out, in).  Each row is its own product and sum,
+    not a GEMM over the batch, so its bits do not depend on the batch."""
     if x.ndim != 2:
         raise ValueError(f"fully_connected: input must have shape (batch, features), "
                          f"got {x.shape}")
     if weights.ndim != 2 or weights.shape[1] != x.shape[1]:
         raise ValueError(f"fully_connected: weights shape {weights.shape} does not accept "
                          f"inputs of length {x.shape[1]}")
-    return _node(x.data @ weights.data.T, (x, lambda g: g @ weights.data),
+    return _node((x.data[:, None, :] * weights.data).sum(axis=2),
+                 (x, lambda g: g @ weights.data),
                  (weights, lambda g: g.T @ x.data))
 
 

@@ -3,9 +3,11 @@
 Images are Gaussian blobs on a dark background; the count label is the
 number of blobs placed and the volume label is the number of voxels of the
 noise-free field above a threshold, so both labels are exact by
-construction.  Generation is deterministic: record ``i`` of a dataset built
-with master seed ``s`` uses the generator seeded with ``[s, i]``, which also
-makes per-record generation safely parallelizable.
+construction for the uncropped image: under a ``crop_extent`` they still
+count the blobs and voxels that fall outside the stored crop.  Generation
+is deterministic: record ``i`` of a dataset built with master seed ``s``
+uses the generator seeded with ``[s, i]``, which also makes per-record
+generation safely parallelizable.
 
 File formats:
 
@@ -432,6 +434,8 @@ def read_manifest(path, label_kind: str = "count") -> DatasetManifest:
             raise ValueError(f"{path}:{lineno}: labels must be integers") from None
         if count < 0 or volume < 0:
             raise ValueError(f"{path}:{lineno}: labels must be non-negative")
+        if max(count, volume) > 2 ** 53:  # float64 holds each integer up to here exactly
+            raise ValueError(f"{path}:{lineno}: labels must be at most 2**53")
         records.append(ImageRecord(rec_path, count, volume, split))
     return DatasetManifest(records, label_kind=label_kind, base_dir=path.parent)
 

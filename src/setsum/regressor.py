@@ -5,18 +5,16 @@ scalar: a chain of stride-1 same-padded conv+ReLU blocks with optional
 channel-concatenation skip connections, global average pooling, and a final
 single-output fully connected layer with no activation.  The graph is built
 for a batch, (batch, channels, *spatial) in and (batch, 1) out; ``predict``
-is the batch of one.
+is the batch of one.  An image's output has the same bits in any batch (see
+``setsum.autodiff``), and a set's prediction is the left-to-right sum of its
+members' ``predict``s, in ``hydra_forward`` and ``hydra_loss`` alike.
 
-``hydra_loss`` trains the network on a whole set at once, as one graph: the
-set's real slots are stacked into one batch and pushed through the same
-parameter tensors (the branches share weights by construction, so gradients
-accumulate across slots), the per-slot predictions are summed inside the
-graph, and the loss is computed once against the set's summed label.
-``hydra_loss_replicated`` computes the identical quantity through
-explicitly copied per-branch parameters, one graph per slot with black
-slots included, whose gradients are summed afterwards; it exists as a
-cross-check for the weight-sharing mechanics and the black-slot skip, and
-is exercised by the test suite.
+``hydra_loss`` trains the network on a whole set as one graph, with one
+loss against the set's summed label.  ``hydra_loss_replicated`` computes
+the identical quantity through explicitly copied per-branch parameters, one
+graph per slot with black slots included, whose gradients are summed
+afterwards; it exists as a cross-check for the weight-sharing mechanics and
+the black-slot skip, and is exercised by the test suite.
 
 ``predict`` and ``hydra_forward`` build no backward state: they run on the
 parameters as constants sharing their arrays, so no node keeps a closure or
@@ -188,8 +186,10 @@ def predict(model: RegressorModel, image: np.ndarray) -> float:
     return _forward(model.architecture, _constants(model), image[np.newaxis]).item()
 
 
-def _real_batch(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-    """A set's real images stacked into one batch.
+def _set_total(model: RegressorModel, params: dict[str, Tensor],
+               images: Sequence[Optional[np.ndarray]],
+               rng: np.random.Generator | None = None) -> Tensor:
+    """A set's prediction: its real slots' outputs summed left to right.
 
     Black (``None``) slots are dropped: the network is bias-free, so a black
     slot adds exactly 0 to the set's prediction and to every gradient.  An
@@ -198,15 +198,15 @@ def _real_batch(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -
     """
     if len(images) == 0:
         raise ValueError("a sample set needs at least one slot")
-    real = [im for im in images if im is not None]
-    return np.stack(real) if real else model.black_image()[np.newaxis]
+    real = [im for im in images if im is not None] or [model.black_image()]
+    heads = rows(_forward(model.architecture, params, np.stack(real), rng))
+    return sum(heads[1:], heads[0])
 
 
 def hydra_forward(model: RegressorModel, images: Sequence[Optional[np.ndarray]]) -> float:
     """Summed prediction over a set of image slots (``None`` slots are black);
     builds no backward state."""
-    out = _forward(model.architecture, _constants(model), _real_batch(model, images))
-    return float(out.data.sum())
+    return _set_total(model, _constants(model), images).item()
 
 
 def _loss_node(total: Tensor, label: float, loss_kind: str) -> Tensor:
@@ -223,12 +223,10 @@ def hydra_loss(model: RegressorModel, images: Sequence[Optional[np.ndarray]], la
     The set's real slots go through the network as one batch, so every
     layer is one op for the whole set and each parameter's gradient
     accumulates across the branches; the per-slot predictions are then
-    summed inside the graph (the hydra's summing layer).  Dropout runs only
-    in a step that passes its generator as ``rng``.
+    summed left to right inside the graph (the hydra's summing layer).
+    Dropout runs only in a step that passes its generator as ``rng``.
     """
-    out = _forward(model.architecture, model.parameters, _real_batch(model, images), rng)
-    heads = rows(out)
-    return _loss_node(sum(heads[1:], heads[0]), label, loss_kind)
+    return _loss_node(_set_total(model, model.parameters, images, rng), label, loss_kind)
 
 
 def hydra_loss_replicated(model: RegressorModel, images: Sequence[Optional[np.ndarray]],

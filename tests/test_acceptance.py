@@ -150,21 +150,16 @@ def test_criterion_02_grouped_equals_replicated():
 
 def test_criterion_03_black_image_identity():
     """The network has no additive terms, so the black image predicts
-    exactly 0 and black padding leaves a single image's prediction unchanged
-    within 1e-12."""
+    exactly 0 and black padding leaves a single image's prediction unchanged,
+    bit for bit."""
     model = build_base_regressor(replace(DESK, seed=3))
     black = model.black_image()
     assert predict(model, black) == 0.0
     rng = np.random.default_rng(3)
-    worst = 0.0
     for _ in range(100):
         image = rng.uniform(size=(1, 16, 16))
-        single = predict(model, image)
-        padded = hydra_forward(model, [image, None, None, None])
-        worst = max(worst, abs(padded - single))
-        assert abs(padded - single) <= 1e-12
-    report(3, f"predict(black) == 0 exactly; padded-set identity within 1e-12 "
-              f"on 100 images (worst {worst:.2e})")
+        assert hydra_forward(model, [image, None, None, None]) == predict(model, image)
+    report(3, "predict(black) == 0 exactly; padded-set identity exact on 100 images")
 
 
 def test_criterion_04_grouped_loss_not_minibatch_sgd():

@@ -12,7 +12,7 @@ import pytest
 from setsum.augment import AugmentationConfig
 from setsum.cli import main
 from setsum.config import ConfigError, config_text, parse_config_file, parse_config_text
-from setsum.data import SyntheticConfig, read_manifest, write_tensor
+from setsum.data import SyntheticConfig, read_manifest, read_tensor, write_tensor
 from setsum.regressor import ArchitectureConfig, build_base_regressor, save_model
 from setsum.trainer import TrainConfig
 
@@ -37,6 +37,27 @@ curve.sizes=4,6
 curve.methods=setsum,baseline
 curve.num_seeds=2
 """
+
+
+def run_setsum(*args: str) -> subprocess.CompletedProcess:
+    """``python -m setsum`` in a fresh process, importing this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "setsum", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def set_train_count_label(tmp_path: Path, label: int) -> int:
+    """Give the first training record of the generated manifest count label
+    ``label``; returns that record's line number."""
+    manifest = tmp_path / "out" / "dataset" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.endswith(",train"))
+    path, _, volume, split = lines[index].split(",")
+    lines[index] = f"{path},{label},{volume},{split}"
+    manifest.write_text("\n".join(lines) + "\n")
+    return index + 1
 
 
 def write_config(tmp_path: Path, extra: str = "") -> Path:
@@ -234,9 +255,13 @@ class TestCli:
         ("data.num_val=-2", "data.num_val must be non-negative, got -2"),
         ("data.num_test=-3", "data.num_test must be non-negative, got -3"),
         ("data.blob_sigma_range=2.0,2.0", "data: image extent (8, 8) too small for blobs of "
-                                          "sigma up to 2.0 (needs > 4x sigma)")],
+                                          "sigma up to 2.0 (needs > 4x sigma)"),
+        ("data.dims=3", "data.image_extent (8, 8) does not match data.dims=3"),
+        ("data.crop_extent=6", "data.crop_extent (6,) does not match data.dims=2"),
+        ("augment.flip_axes=0,2", "augment.flip_axes (0, 2) out of range for dims=2")],
         ids=["data", "arch", "augment", "augment-disabled", "train", "even-kernel", "crop",
-             "curve-method", "num-train", "num-val", "num-test", "sigma"])
+             "curve-method", "num-train", "num-val", "num-test", "sigma", "dims",
+             "crop-dims", "flip-axes"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2
@@ -303,6 +328,38 @@ class TestCli:
         manifest.write_text("path,count_label,volume_label,split\n../secret.sstf,1,1,train\n")
         assert main(["train", str(cfg)]) == 2
         assert "manifest.csv:2: path '../secret.sstf' names no file inside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "curve"])
+    def test_label_too_large_for_a_float_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        lineno = set_train_count_label(tmp_path, 10 ** 400)
+        assert main([command, str(cfg)]) == 2
+        assert (f"manifest.csv:{lineno}: labels must be at most 2**53"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / command).exists()
+
+    def test_overflowing_loss_exits_4_before_writing(self, tmp_path):
+        # a finite training image whose loss overflows; a fresh process,
+        # since the test run turns the overflow warning into an error before
+        # the divergence check sees the loss
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        manifest = read_manifest(tmp_path / "out" / "dataset" / "manifest.csv")
+        image = manifest.base_dir / manifest.split_records("train")[0].path
+        write_tensor(image, read_tensor(image) * 1e200)
+        result = run_setsum("train", str(cfg))
+        assert result.returncode == 4
+        assert "non-finite training loss at epoch 0" in result.stderr
+        assert not (tmp_path / "out" / "train").exists()
+
+    def test_output_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        cfg = write_config_with(tmp_path, f"output_dir={taken}")
+        assert main(["generate", str(cfg)]) == 3
+        assert "File exists" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
 
     def test_manifest_from_another_output_dir(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -404,20 +461,12 @@ class TestCli:
                 == (tmp_path / "out" / "curve" / "curve_jobs.csv").read_bytes())
 
     def test_python_m_setsum(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-        def generate(cfg: Path) -> subprocess.CompletedProcess:
-            return subprocess.run([sys.executable, "-m", "setsum", "generate", str(cfg)],
-                                  env=env, capture_output=True, text=True)
-
-        assert generate(write_config(tmp_path)).returncode == 0
+        assert run_setsum("generate", str(write_config(tmp_path))).returncode == 0
         assert (tmp_path / "out" / "dataset" / "manifest.csv").is_file()
         bad_dir = tmp_path / "bad"
         bad_dir.mkdir()
         bad = write_config(bad_dir, "data.imag_extent=8,8\n")
-        result = generate(bad)
+        result = run_setsum("generate", str(bad))
         assert result.returncode == 2
         assert "unknown key 'data.imag_extent'" in result.stderr
         assert list(bad_dir.iterdir()) == [bad]

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,24 @@ class TestManifest:
         path.write_text("path,count_label,volume_label,split\na.sstf,1,1,banana\n")
         with pytest.raises(ValueError, match="unknown split"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("labels, message", [
+        ("1.5,1", "labels must be integers"),
+        ("1,-1", "labels must be non-negative"),
+        (f"{2 ** 53 + 1},1", "labels must be at most 2**53")],
+        ids=["non-integer", "negative", "above-2**53"])
+    def test_bad_label_rejected_with_line(self, tmp_path, labels, message):
+        path = tmp_path / "m.csv"
+        path.write_text("path,count_label,volume_label,split\n"
+                        f"a.sstf,1,1,train\nb.sstf,{labels},test\n")
+        with pytest.raises(ValueError, match=re.escape(f"m.csv:3: {message}")):
+            read_manifest(path)
+
+    def test_label_of_2_to_the_53_accepted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"path,count_label,volume_label,split\na.sstf,{2 ** 53},1,train\n")
+        manifest = read_manifest(path)
+        assert manifest.label_of(manifest.records[0]) == 2.0 ** 53
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,4 +1,6 @@
+import functools
 import gc
+import operator
 import re
 import struct
 import tracemalloc
@@ -16,6 +18,7 @@ from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_fo
                               save_model)
 from setsum.regressor import _constants
 from setsum.regressor import _forward as regressor_forward
+from setsum.regressor import _loss_node
 from setsum.trainer import infer
 
 TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
@@ -150,13 +153,47 @@ class TestHydraForward:
         # one real image plus black padding predicts exactly the single image
         model = build_base_regressor(TINY)
         img = np.random.default_rng(5).uniform(size=(1, 8, 8))
-        padded = hydra_forward(model, [img, None, None, None])
-        assert abs(padded - predict(model, img)) < 1e-12
+        assert hydra_forward(model, [img, None, None, None]) == predict(model, img)
 
     def test_empty_set_rejected(self):
         model = build_base_regressor(TINY)
         with pytest.raises(ValueError, match="at least one slot"):
             hydra_forward(model, [])
+
+
+class TestOneRule:
+    """An image's output has the same bits in any batch, and a set's
+    prediction is the left-to-right sum of its members' predicts, in
+    hydra_forward and hydra_loss alike."""
+
+    @pytest.mark.parametrize("skips", [((1, 3),), ()], ids=["skips", "no-skips"])
+    @pytest.mark.parametrize("shape, count", [((1, 16, 16), 40), ((1, 15, 13), 40),
+                                              ((1, 9, 9, 9), 12)],
+                             ids=["16x16", "15x13", "9x9x9"])
+    def test_batched_forward_is_per_image_predict(self, shape, count, skips):
+        model = build_base_regressor(ArchitectureConfig(input_shape=shape,
+                                                        skip_connections=skips))
+        images = np.random.default_rng(19).uniform(size=(count,) + shape)
+        batched = regressor_forward(model.architecture, _constants(model), images)
+        assert batched.data[:, 0].tolist() == [predict(model, im) for im in images]
+
+    def test_set_total_is_left_to_right_sum_of_predicts(self, monkeypatch):
+        model = build_base_regressor(ArchitectureConfig(input_shape=(1, 16, 16)))
+        rng = np.random.default_rng(20)
+        images = [None if i % 3 == 1 else rng.uniform(size=(1, 16, 16)) for i in range(24)]
+        members = [predict(model, model.black_image() if im is None else im) for im in images]
+        expected = functools.reduce(operator.add, members)
+        assert hydra_forward(model, images) == expected
+
+        totals = []
+
+        def loss_node(total, label, loss_kind):
+            totals.append(total.item())
+            return _loss_node(total, label, loss_kind)
+
+        monkeypatch.setattr("setsum.regressor._loss_node", loss_node)
+        hydra_loss(model, images, 3.0)
+        assert totals == [expected]
 
 
 @pytest.mark.parametrize("arch", [TINY, TINY_3D, replace(TINY, dropout_rate=0.5),
@@ -198,7 +235,8 @@ class TestGradFreeForward:
         rng = np.random.default_rng(15)
         images = [rng.uniform(size=arch.input_shape), None, rng.uniform(size=arch.input_shape)]
         batch = np.stack([images[0], images[2]])
-        expected = float(regressor_forward(arch, model.parameters, batch).data.sum())
+        heads = regressor_forward(arch, model.parameters, batch).data[:, 0].tolist()
+        expected = functools.reduce(operator.add, heads)
         self.check(monkeypatch, model, images, lambda: hydra_forward(model, images), expected)
 
 

@@ -228,7 +228,7 @@ class TestInfer:
         predictions = infer(model, dataset, "test")
         images, _ = load_split(dataset, "test")
         for value, img in zip(predictions, images):
-            assert abs(value - hydra_forward(model, [img, None, None, None])) < 1e-12
+            assert value == hydra_forward(model, [img, None, None, None])
 
     def test_order_independent_and_repeatable(self, dataset):
         model = fresh_model()
