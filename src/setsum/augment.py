@@ -119,7 +119,8 @@ def random_geometric_augment(image: np.ndarray, config: AugmentationConfig,
     the rotation angle(s) when the range is positive, then one integer
     offset per spatial axis when the range is positive.  Out-of-bounds
     regions are filled with 0.  A config with no flip axes and zero ranges
-    is the identity.
+    is the identity.  A range that reaches an extent can shift the whole
+    image out of frame (all zeros); only run configs reject it, at parse.
     """
     d = image.ndim - 1
     if d not in (2, 3):

@@ -15,10 +15,12 @@ split sizes ``data.num_*``, which no module config built at parse holds.
 ``train.batch_size`` is the baseline and mixup batch; unset, it is
 ``train.n``, whatever ``train.method`` says, so a curve job's batch does
 not depend on the method it replaces.  ``augment.flip_axes=all`` flips
-every axis of ``data.image_extent``.  The ``augment.*`` ranges are checked
-whatever ``augment.enabled`` says; with ``augment.enabled=false`` training
-gets the identity ``AugmentationConfig()``.  A curve job trains with
-``train.*`` and its method.  A key that fills a field of
+every axis of ``data.image_extent``.  ``augment.translation_range`` must be
+below each stored extent (the crop's, if any), so no shift empties an image.
+The ``augment.*`` ranges are checked whatever ``augment.enabled`` says;
+with ``augment.enabled=false`` training gets the identity
+``AugmentationConfig()``.  A curve job trains with ``train.*`` and its
+method.  A key that fills a field of
 ``SyntheticConfig``, ``ArchitectureConfig`` or ``TrainConfig`` takes that
 field's default from the class; the ``seed``, ``train.epochs`` and
 ``augment.*`` defaults are the CLI's own.
@@ -205,6 +207,10 @@ def _validate(values: dict) -> None:
     if crop is not None and any(not 1 <= c <= e for c, e in zip(crop, extent)):
         raise ConfigError(f"data.crop_extent {crop} must lie between 1 and "
                           f"data.image_extent {extent} on each axis")
+    shift, stored = values["augment.translation_range"], extent if crop is None else crop
+    if any(shift >= e for e in stored):
+        raise ConfigError(f"augment.translation_range={shift} must be below each stored "
+                          f"image extent {stored}")
     axes = values["augment.flip_axes"]
     if axes != "all" and any(not 0 <= a < dims for a in axes):
         raise ConfigError(f"augment.flip_axes {axes} out of range for dims={dims}")

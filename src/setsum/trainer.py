@@ -9,9 +9,8 @@ one Adadelta step.  The methods differ only in ``n``, ``p`` and ``b``:
 
 * ``setsum``: ``n`` and ``p`` as configured, ``b = 1`` (ceil(m/n) steps).
 * ``baseline``: ``n = 1``, ``p = 0``, ``b = batch_size`` (ceil(m/b) steps).
-* ``mixup``: as baseline, but each image is linearly combined with a
-  shuffled partner from its step, with lambda ~ uniform(0, 1); a step of
-  one image takes its partner from the other training images.
+* ``mixup``: as baseline, but each image is mixed with a partner drawn
+  uniformly from the other training images, lambda ~ uniform(0, 1).
 
 Every run returns the parameters of the epoch with the lowest validation
 MSE.  All randomness flows through one generator, so a fixed seed gives a
@@ -72,8 +71,8 @@ class TrainConfig:
     ``batch_size`` one-image sets, whatever ``n`` and ``p`` say.  Unset,
     ``batch_size`` is ``n`` whatever the method, so once built it holds the
     int that trains.
-    ``mixup`` draws each image's partner from its own step, so it needs a
-    batch of at least 2 (and ``train`` needs at least 2 training images).
+    ``mixup`` draws each image's partner from the other training images, so
+    ``train`` needs at least 2 of them; any batch size works.
     Every real image goes through ``augmentation`` as its set is built; the
     default, the identity ``AugmentationConfig()``, trains on the images as
     stored.
@@ -94,15 +93,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.n < 1 or self.batch_size < 1:
-            raise ValueError("n and batch_size must be positive")
+        for name, value in (("n", self.n), ("batch_size", self.batch_size)):
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.method == "mixup" and self.batch_size < 2:
-            raise ValueError(f"mixup needs batch_size >= 2 to pair each image with "
-                             f"another, got {self.batch_size}")
 
 
 @dataclass
@@ -120,8 +117,10 @@ def _check_finite(value: float, epoch: int, where: str) -> float:
     return value
 
 
-def _mixed(images, labels, a: int, b: int, aug: AugmentationConfig,
+def _mixed(images, labels, a: int, aug: AugmentationConfig,
            rng: np.random.Generator) -> tuple[list[np.ndarray], float]:
+    other = int(rng.integers(len(images) - 1))
+    b = other + (other >= a)
     lam = float(rng.uniform(0.0, 1.0))
     xa = random_geometric_augment(images[a], aug, rng)
     xb = random_geometric_augment(images[b], aug, rng)
@@ -144,14 +143,7 @@ def _epoch_steps(images, labels, config: TrainConfig, rng: np.random.Generator):
     for start in range(0, len(sets), b):
         step = sets[start:start + b]
         if config.method == "mixup":
-            batch = [s.slots[0] for s in step]
-            if len(batch) > 1:
-                partners = [batch[j] for j in rng.permutation(len(batch))]
-            else:
-                # a lone last image is paired with any other training image
-                other = int(rng.integers(len(images) - 1))
-                partners = [other + (other >= batch[0])]
-            yield (_mixed(images, labels, i, j, aug, rng) for i, j in zip(batch, partners))
+            yield (_mixed(images, labels, s.slots[0], aug, rng) for s in step)
         else:
             yield (([None if i is None else random_geometric_augment(images[i], aug, rng)
                      for i in s.slots],
@@ -272,7 +264,7 @@ def check_curve_grid(sizes: Sequence[int], methods: Sequence[str], num_seeds: in
         if size < 1:
             raise ValueError(f"learning-curve size {size} must be at least 1")
     if num_seeds < 1:
-        raise ValueError("num_seeds must be positive")
+        raise ValueError(f"num_seeds must be positive, got {num_seeds}")
 
 
 _M_TOP_PAD = -2  # mallopt parameter number, glibc <malloc.h>

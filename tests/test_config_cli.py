@@ -16,27 +16,7 @@ from setsum.data import SyntheticConfig, read_manifest, read_tensor, write_tenso
 from setsum.regressor import ArchitectureConfig, build_base_regressor, save_model
 from setsum.trainer import TrainConfig
 
-BASE = """
-# tiny end-to-end configuration
-output_dir={out}
-seed=5
-data.image_extent=8,8
-data.blob_count_range=0,3
-data.blob_sigma_range=0.45,0.7
-data.num_train=8
-data.num_val=2
-data.num_test=4
-arch.conv_blocks=3:3,4:3
-arch.skip_connections=1:2
-augment.rotation_range=0.0
-augment.translation_range=1
-train.epochs=3
-train.n=2
-train.p=0.1
-curve.sizes=4,6
-curve.methods=setsum,baseline
-curve.num_seeds=2
-"""
+from artifacts import BASE, with_lines
 
 
 def run_setsum(*args: str) -> subprocess.CompletedProcess:
@@ -68,10 +48,8 @@ def write_config(tmp_path: Path, extra: str = "") -> Path:
 
 def write_config_with(tmp_path: Path, line: str) -> Path:
     """BASE with ``line`` in place of any line setting the same key."""
-    path = write_config(tmp_path)
-    key = line.partition("=")[0]
-    kept = [x for x in path.read_text().splitlines() if not x.startswith(key + "=")]
-    path.write_text("\n".join(kept + [line]) + "\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(with_lines(BASE.format(out=tmp_path / "out"), [line]))
     return path
 
 
@@ -115,10 +93,16 @@ class TestParsing:
         assert replace(config.train, augmentation=AugmentationConfig()) == TrainConfig(epochs=150)
 
     @pytest.mark.parametrize("line", ["train.method=mixup", "curve.methods=setsum,mixup"])
-    def test_mixup_with_default_batch_of_one_rejected(self, line):
-        # the default batch is train.n, whatever the method
-        with pytest.raises(ConfigError, match="mixup needs batch_size >= 2"):
-            parse_config_text(f"output_dir=o\ndata.image_extent=8,8\ntrain.n=1\n{line}\n")
+    def test_mixup_with_default_batch_of_one_parses(self, line):
+        # the default batch is train.n, whatever the method, and mixup takes
+        # its partners from the training images, not from the batch
+        config = parse_config_text(f"output_dir=o\ndata.image_extent=8,8\ntrain.n=1\n{line}\n")
+        assert config.train.batch_size == 1
+
+    def test_translation_below_the_extent_parses(self):
+        config = parse_config_text("output_dir=o\ndata.image_extent=8,8\n"
+                                   "augment.translation_range=7\n")
+        assert config.train.augmentation.translation_range_voxels == 7
 
     @pytest.mark.parametrize("line, message", [
         ("data.label_kind=area", r"data.label_kind must be one of \('count', 'volume'\)"),
@@ -223,12 +207,11 @@ class TestCli:
         metrics_lines = (out / "eval" / "metrics.csv").read_text().strip().splitlines()
         assert metrics_lines[0] == "mse,mae,icc,n"
 
-    def test_mixup_with_batch_of_one_exits_2(self, tmp_path, capsys):
+    def test_mixup_with_batch_of_one_trains(self, tmp_path):
         cfg = write_config(tmp_path, "train.method=mixup\ntrain.batch_size=1\n")
-        assert main(["generate", str(cfg)]) == 2
-        assert main(["train", str(cfg)]) == 2
-        assert "mixup needs batch_size >= 2" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "train").exists()
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 0
+        assert (tmp_path / "out" / "train" / "model.ssrm").is_file()
 
     def test_mixup_with_one_training_image_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -258,10 +241,22 @@ class TestCli:
                                           "sigma up to 2.0 (needs > 4x sigma)"),
         ("data.dims=3", "data.image_extent (8, 8) does not match data.dims=3"),
         ("data.crop_extent=6", "data.crop_extent (6,) does not match data.dims=2"),
-        ("augment.flip_axes=0,2", "augment.flip_axes (0, 2) out of range for dims=2")],
+        ("augment.flip_axes=0,2", "augment.flip_axes (0, 2) out of range for dims=2"),
+        ("train.epochs=0", "train: epochs must be positive, got 0"),
+        ("train.n=0", "train: n must be positive, got 0"),
+        ("train.batch_size=0", "train: batch_size must be positive, got 0"),
+        ("curve.num_seeds=0", "curve: num_seeds must be positive, got 0"),
+        ("augment.translation_range=8", "augment.translation_range=8 must be below each "
+                                        "stored image extent (8, 8)"),
+        ("augment.translation_range=8\naugment.enabled=false",
+         "augment.translation_range=8 must be below each stored image extent (8, 8)"),
+        ("augment.translation_range=4\ndata.crop_extent=4,4",
+         "augment.translation_range=4 must be below each stored image extent (4, 4)"),
+        ("data.image_extent=\ndata.dims=0", "data: image_extent () must have 2 or 3 extents")],
         ids=["data", "arch", "augment", "augment-disabled", "train", "even-kernel", "crop",
              "curve-method", "num-train", "num-val", "num-test", "sigma", "dims",
-             "crop-dims", "flip-axes"])
+             "crop-dims", "flip-axes", "epochs", "n", "batch-size", "num-seeds",
+             "translation", "translation-disabled", "translation-crop", "no-extent"])
     def test_bad_value_exits_2_before_writing(self, tmp_path, capsys, command, line, message):
         cfg = write_config_with(tmp_path, line)
         assert main([command, str(cfg)]) == 2
@@ -275,6 +270,27 @@ class TestCli:
         assert main(["generate", str(cfg), *flag]) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
+        assert f"config file not found: {tmp_path / 'missing.cfg'}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_init_model_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        missing = tmp_path / "missing.ssrm"
+        assert main(["train", str(write_config(tmp_path, f"train.init_model={missing}\n"))]) == 2
+        assert f"train.init_model not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train").exists()
+
+    def test_eval_without_test_records_exits_2(self, tmp_path, capsys):
+        cfg = write_config_with(tmp_path, "data.num_test=0")
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 0
+        assert main(["eval", str(cfg)]) == 2
+        assert "manifest has no test records" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval").exists()
 
     def test_train_without_manifest_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

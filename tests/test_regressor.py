@@ -3,16 +3,19 @@ import gc
 import operator
 import re
 import struct
+import tempfile
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from setsum.autodiff import _toposort, backpropagate
-from setsum.data import SyntheticConfig, generate_dataset, load_split
+from setsum.data import (SyntheticConfig, generate_dataset, load_split, read_tensor,
+                         write_tensor)
 from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
                               hydra_loss, hydra_loss_replicated, load_model, predict,
                               save_model)
@@ -25,6 +28,20 @@ TINY = ArchitectureConfig(input_shape=(1, 8, 8), conv_blocks=((3, 3), (4, 3)),
                           skip_connections=((1, 2),), seed=5)
 TINY_3D = ArchitectureConfig(input_shape=(1, 5, 5, 5), conv_blocks=((2, 3), (3, 3)),
                              skip_connections=((1, 2),), seed=5)
+
+
+def _tiny_file_bytes() -> dict[str, bytes]:
+    """The bytes of a one-conv saved model and of a 4x4 tensor file."""
+    arch = ArchitectureConfig(input_shape=(1, 4, 4), conv_blocks=((1, 1),),
+                              skip_connections=(), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, tensor = Path(tmp, "m.ssrm"), Path(tmp, "t.sstf")
+        save_model(build_base_regressor(arch), model)
+        write_tensor(tensor, np.arange(16.0).reshape(1, 4, 4))
+        return {"model": model.read_bytes(), "tensor": tensor.read_bytes()}
+
+
+TINY_FILES = _tiny_file_bytes()
 
 
 def parameter_count(model) -> int:
@@ -500,6 +517,15 @@ class TestSerialization:
         path.write_bytes(b"WRONG" + bytes(32))
         with pytest.raises(ValueError, match="SSRM1"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind, length", [(kind, length)
+                                              for kind, blob in TINY_FILES.items()
+                                              for length in range(len(blob))])
+    def test_every_proper_prefix_rejected(self, tmp_path, kind, length):
+        path = tmp_path / "prefix"
+        path.write_bytes(TINY_FILES[kind][:length])
+        with pytest.raises(ValueError, match=r"bad magic|truncated|declares \d+ values"):
+            (load_model if kind == "model" else read_tensor)(path)
 
     def test_truncated_payload(self, tmp_path):
         model = build_base_regressor(TINY)

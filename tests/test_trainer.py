@@ -44,10 +44,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"loss_kind must be one of \('mse', 'mae'\)"):
             TrainConfig(epochs=1, loss_kind="huber")
 
-    def test_mixup_needs_a_partner(self):
-        # with a batch of one, every image would be mixed with itself
-        with pytest.raises(ValueError, match="mixup needs batch_size >= 2"):
-            TrainConfig(epochs=1, method="mixup", batch_size=1)
+    def test_mixup_with_batch_of_one_builds(self):
+        # partners come from the training images, not from the batch
+        assert TrainConfig(epochs=1, method="mixup", batch_size=1).batch_size == 1
+        assert TrainConfig(epochs=1, method="mixup", n=1).batch_size == 1
 
     @pytest.mark.parametrize("method", ["setsum", "baseline", "mixup"])
     def test_batch_size_defaults_to_n(self, method):
@@ -177,24 +177,30 @@ class TestTrain:
         train(fresh_model(), dataset, cfg, np.random.default_rng(15))
         assert calls == [(12, n, p)] * 2
 
-    def test_lone_mixup_image_gets_another_partner(self, tmp_path, monkeypatch):
-        # m = 7 and b = 3 leave a last batch of one image in every epoch
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_mixup_partner_is_another_training_image(self, tmp_path, monkeypatch,
+                                                     batch_size):
+        # m = 7 leaves a last batch of one image at b = 2 and b = 3; _mixed
+        # augments its image, then the partner, so the inputs come in pairs
         manifest = generate_dataset(tmp_path, SYNTH, 7, 2, 1)
-        cfg = TrainConfig(epochs=5, method="mixup", n=4, batch_size=3)
-        pairs = []
-        original = trainer_mod._mixed
+        images, _ = load_split(manifest, "train")
+        cfg = TrainConfig(epochs=5, method="mixup", n=4, batch_size=batch_size)
+        drawn = []
+        original = trainer_mod.random_geometric_augment
 
-        def recording(images, labels, a, b, aug, rng):
-            pairs.append((int(a), int(b)))
-            return original(images, labels, a, b, aug, rng)
+        def recording(image, aug, rng):
+            drawn.append(next(i for i, im in enumerate(images) if np.array_equal(im, image)))
+            return original(image, aug, rng)
 
-        monkeypatch.setattr(trainer_mod, "_mixed", recording)
+        monkeypatch.setattr(trainer_mod, "random_geometric_augment", recording)
         model_a, hist_a = train(fresh_model(), manifest, cfg, np.random.default_rng(29))
-        lone = pairs[6::7]
-        assert len(pairs) == 5 * 7 and len(lone) == 5
-        assert all(a != b for a, b in lone), lone
+        pairs = list(zip(drawn[0::2], drawn[1::2]))
+        assert len(drawn) == 2 * 5 * 7
+        assert all(a != b for a, b in pairs), pairs
+        for epoch in range(5):
+            assert sorted(a for a, _ in pairs[7 * epoch:7 * (epoch + 1)]) == list(range(7))
         model_b, hist_b = train(fresh_model(), manifest, cfg, np.random.default_rng(29))
-        assert pairs[35:] == pairs[:35]
+        assert drawn[70:] == drawn[:70]
         assert hist_a == hist_b
         for name in model_a.parameters:
             assert np.array_equal(model_a.parameters[name].data,
