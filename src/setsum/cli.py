@@ -63,9 +63,9 @@ def _load_manifest(config: RunConfig) -> data_mod.DatasetManifest:
 
 def _echo_config(config: RunConfig, name: str) -> Path:
     """Write the resolved config to ``output_dir``, then create and return the
-    command's output directory ``output_dir/name``.  Commands call it just
-    before writing their outputs, so one that fails leaves the echo of the
-    run whose artifacts the directory holds."""
+    command's output directory ``output_dir/name``.  Every command calls it
+    only once its work has succeeded, so one that fails leaves the echo of
+    the run whose artifacts the directory holds."""
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_atomic(out / "config_resolved.cfg", config_text(config).encode("utf-8"))
@@ -92,13 +92,14 @@ def _build_or_resume(config: RunConfig):
 
 
 def cmd_generate(config: RunConfig, args) -> int:
-    out_dir = _echo_config(config, "dataset")
+    out_dir = Path(config["output_dir"]) / "dataset"
     manifest = data_mod.generate_dataset(
         out_dir, config.synthetic,
         config["data.num_train"], config["data.num_val"], config["data.num_test"],
         crop_extent=config["data.crop_extent"],
         rescale=config["data.rescale"],
         label_kind=config["data.label_kind"])
+    _echo_config(config, "dataset")
     print(f"generated {len(manifest.records)} records under {out_dir}")
     return EXIT_OK
 

@@ -6,13 +6,14 @@ noise-free field above a threshold, so both labels are exact by
 construction for the uncropped image: under a ``crop_extent`` they still
 count the blobs and voxels that fall outside the stored crop.  Generation
 is deterministic: record ``i`` of a dataset built with master seed ``s``
-uses the generator seeded with ``[s, i]``, which also makes per-record
-generation safely parallelizable.
+draws blob sigmas, amplitudes, centers and noise, in that order, from the
+generator seeded with ``[s, i]``, which also makes per-record generation
+safely parallelizable.
 
 File formats:
 
 * tensor file: magic ``SSTF1``, u8 dimension count, little-endian u32
-  extents, then the row-major float64 payload (little-endian).
+  extents, then the row-major finite float64 payload (little-endian).
 * manifest: UTF-8 CSV with header ``path,count_label,volume_label,split``;
   paths are relative to the manifest's directory and must stay inside it,
   and each file appears once, however its path is spelled.
@@ -31,7 +32,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -97,6 +98,8 @@ class SyntheticConfig:
             raise ValueError("blob counts must be non-negative")
         if self.blob_sigma_range[0] <= 0:
             raise ValueError("blob sigmas must be positive")
+        if self.intensity_range[0] <= 0:
+            raise ValueError("blob intensities must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         if self.seed < 0:
@@ -130,45 +133,40 @@ def _place_centers(sigmas: np.ndarray, extent: tuple[int, ...],
     return centers
 
 
-def generate_blob_image(config: SyntheticConfig,
-                        rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
-    """One synthetic image with exact labels.
+def generate_blob_image(config: SyntheticConfig, count: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One synthetic image of ``count`` blobs with its exact volume label.
 
-    Places k ~ uniform(blob_count_range) Gaussian blobs at random centers
-    kept at least 2*(sigma_i + sigma_j) apart, adds Gaussian pixel noise, and
-    clips intensities at 0.  Returns ``(image, count_label, volume_label)``
-    where the image has shape (1, *image_extent), count_label = k, and
-    volume_label counts the voxels of the noise-free field above
-    ``volume_threshold``.
+    Places ``count`` Gaussian blobs at random centers kept at least
+    2*(sigma_i + sigma_j) apart, adds Gaussian pixel noise, and clips
+    intensities at 0.  Returns ``(image, volume_label)`` where the image has
+    shape (1, *image_extent) and volume_label counts the voxels of the
+    noise-free field above ``volume_threshold``.
 
-    Draw order is fixed (count, sigmas, amplitudes, centers, noise), so the
+    Draw order is fixed (sigmas, amplitudes, centers, noise), so the
     noise-free field of a record can be reproduced by re-running with
     ``noise_sigma=0`` and the same generator seed.
     """
     extent = config.image_extent
-    k = int(rng.integers(config.blob_count_range[0], config.blob_count_range[1] + 1))
-    sigmas = rng.uniform(*config.blob_sigma_range, size=k)
-    amplitudes = rng.uniform(*config.intensity_range, size=k)
-    centers = None
+    sigmas = rng.uniform(*config.blob_sigma_range, size=count)
+    amplitudes = rng.uniform(*config.intensity_range, size=count)
     for _ in range(_PLACEMENT_RESTARTS):
         centers = _place_centers(sigmas, extent, rng)
         if centers is not None:
             break
-    if centers is None:
-        raise ValueError(f"could not place {k} blobs in extent {extent} after "
+    else:
+        raise ValueError(f"could not place {count} blobs in extent {extent} after "
                          f"{_PLACEMENT_RESTARTS}x{_PLACEMENT_TRIES} tries; "
                          f"reduce blob count or sigma")
     coords = np.stack(np.meshgrid(*[np.arange(e, dtype=np.float64) for e in extent],
                                   indexing="ij"), axis=-1)
     clean = np.zeros(extent)
-    for i in range(k):
+    for i in range(count):
         sq = np.sum((coords - centers[i]) ** 2, axis=-1)
         clean += amplitudes[i] * np.exp(-sq / (2.0 * sigmas[i] ** 2))
     volume = int(np.count_nonzero(clean > config.volume_threshold))
-    image = clean
-    if config.noise_sigma > 0.0:
-        image = np.maximum(clean + rng.normal(0.0, config.noise_sigma, size=extent), 0.0)
-    return image[np.newaxis].copy(), k, volume
+    image = np.maximum(clean + rng.normal(0.0, config.noise_sigma, size=extent), 0.0)
+    return image[np.newaxis], volume
 
 
 def center_of_mass_crop(image: np.ndarray, crop_extent: Sequence[int]) -> np.ndarray:
@@ -251,7 +249,10 @@ def read_tensor(path) -> np.ndarray:
     if len(payload) != 8 * count:
         raise TensorFormatError(f"{path}: header declares {count} values "
                                 f"but payload holds {len(payload) // 8}")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    array = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(array).all():
+        raise TensorFormatError(f"{path}: payload holds non-finite values (NaN or inf)")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +482,18 @@ def generate_dataset(out_dir, config: SyntheticConfig, num_train: int, num_val: 
     out_dir = Path(out_dir)
     (out_dir / "manifest.csv").unlink(missing_ok=True)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    planned = [(split, k) for split in SPLITS
+               for k in split_count_sequence(config.blob_count_range, counts[split])]
     records = []
-    idx = 0
-    for split in SPLITS:
-        for k in split_count_sequence(config.blob_count_range, counts[split]):
-            rng = np.random.default_rng([config.seed, idx])
-            record_config = replace(config, blob_count_range=(k, k))
-            image, count, volume = generate_blob_image(record_config, rng)
-            if crop_extent is not None:
-                image = center_of_mass_crop(image, crop_extent)
-            if rescale:
-                image = rescale_intensity(image)
-            rel = f"images/rec_{idx:05d}.sstf"
-            write_tensor(out_dir / rel, image)
-            records.append(ImageRecord(rel, count, volume, split))
-            idx += 1
+    for idx, (split, k) in enumerate(planned):
+        image, volume = generate_blob_image(config, k, np.random.default_rng([config.seed, idx]))
+        if crop_extent is not None:
+            image = center_of_mass_crop(image, crop_extent)
+        if rescale:
+            image = rescale_intensity(image)
+        rel = f"images/rec_{idx:05d}.sstf"
+        write_tensor(out_dir / rel, image)
+        records.append(ImageRecord(rel, k, volume, split))
     manifest = DatasetManifest(records, label_kind=label_kind, base_dir=out_dir)
     write_manifest(out_dir / "manifest.csv", manifest)
     return manifest

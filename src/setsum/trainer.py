@@ -96,8 +96,8 @@ class TrainConfig:
         for name, value in (("n", self.n), ("batch_size", self.batch_size)):
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if not 0.0 <= self.p < 1.0:  # at p = 1 every slot is black: no label, no gradient
+            raise ValueError(f"p must be in [0, 1), got {self.p}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
 

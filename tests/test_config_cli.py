@@ -229,7 +229,9 @@ class TestCli:
         ("augment.translation_range=-1", "augment: translation range must be non-negative"),
         ("augment.translation_range=-1\naugment.enabled=false",
          "augment: translation range must be non-negative"),
-        ("train.p=2", "train: p must be in [0, 1], got 2.0"),
+        ("train.p=2", "train: p must be in [0, 1), got 2.0"),
+        ("train.p=1", "train: p must be in [0, 1), got 1.0"),
+        ("data.intensity_range=0,1", "data: blob intensities must be positive"),
         ("arch.conv_blocks=3:3,4:2", "arch: conv block 2 has invalid (maps, kernel) = (4, 2)"),
         ("data.crop_extent=10,10", "data.crop_extent (10, 10) must lie between 1 and "
                                    "data.image_extent (8, 8) on each axis"),
@@ -253,7 +255,8 @@ class TestCli:
         ("augment.translation_range=4\ndata.crop_extent=4,4",
          "augment.translation_range=4 must be below each stored image extent (4, 4)"),
         ("data.image_extent=\ndata.dims=0", "data: image_extent () must have 2 or 3 extents")],
-        ids=["data", "arch", "augment", "augment-disabled", "train", "even-kernel", "crop",
+        ids=["data", "arch", "augment", "augment-disabled", "train", "p-one", "intensity",
+             "even-kernel", "crop",
              "curve-method", "num-train", "num-val", "num-test", "sigma", "dims",
              "crop-dims", "flip-axes", "epochs", "n", "batch-size", "num-seeds",
              "translation", "translation-disabled", "translation-crop", "no-extent"])
@@ -314,6 +317,19 @@ class TestCli:
         assert main(["train", str(cfg)]) == 2
         assert "manifest not found" in capsys.readouterr().err
 
+    def test_failed_generate_keeps_config_echo(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        assert main(["train", str(cfg)]) == 0
+        echo_path = tmp_path / "out" / "config_resolved.cfg"
+        echo = echo_path.read_bytes()
+        failing = tmp_path / "failing.cfg"
+        failing.write_text(cfg.read_text().replace("data.blob_count_range=0,3",
+                                                   "data.blob_count_range=0,40"))
+        assert main(["generate", str(failing)]) == 2
+        assert "could not place" in capsys.readouterr().err
+        assert echo_path.read_bytes() == echo
+
     def test_failed_command_keeps_config_echo(self, tmp_path, capsys):
         cfg = write_config_with(tmp_path, "train.epochs=1")
         assert main(["generate", str(cfg)]) == 0
@@ -369,12 +385,31 @@ class TestCli:
         assert "non-finite training loss at epoch 0" in result.stderr
         assert not (tmp_path / "out" / "train").exists()
 
+    @pytest.mark.parametrize("command, split, value", [("train", "train", np.nan),
+                                                       ("eval", "test", np.inf)],
+                             ids=["train-nan", "eval-inf"])
+    def test_non_finite_pixel_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                      command, split, value):
+        cfg = write_config(tmp_path)
+        assert main(["generate", str(cfg)]) == 0
+        if command == "eval":
+            assert main(["train", str(cfg)]) == 0
+        manifest = read_manifest(tmp_path / "out" / "dataset" / "manifest.csv")
+        image = manifest.base_dir / manifest.split_records(split)[-1].path
+        pixels = read_tensor(image)
+        pixels[0, 3, 4] = value
+        write_tensor(image, pixels)
+        assert main([command, str(cfg)]) == 2
+        assert (f"{image}: payload holds non-finite values (NaN or inf)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / command).exists()
+
     def test_output_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
         cfg = write_config_with(tmp_path, f"output_dir={taken}")
         assert main(["generate", str(cfg)]) == 3
-        assert "File exists" in capsys.readouterr().err
+        assert "Not a directory" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
     def test_manifest_from_another_output_dir(self, tmp_path):

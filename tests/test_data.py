@@ -15,38 +15,43 @@ from setsum.data import (DatasetManifest, ImageRecord, SyntheticConfig, TensorFo
 
 class TestGenerateBlobImage:
     def test_fixed_count(self):
-        cfg = SyntheticConfig(blob_count_range=(3, 3))
-        img, count, volume = generate_blob_image(cfg, np.random.default_rng(0))
-        assert count == 3
+        img, volume = generate_blob_image(SyntheticConfig(), 3, np.random.default_rng(0))
         assert img.shape == (1, 16, 16)
+        assert volume > 0
 
     def test_empty_image(self):
-        cfg = SyntheticConfig(blob_count_range=(0, 0), noise_sigma=0.0)
-        img, count, volume = generate_blob_image(cfg, np.random.default_rng(1))
+        cfg = SyntheticConfig(noise_sigma=0.0)
+        img, volume = generate_blob_image(cfg, 0, np.random.default_rng(1))
         npt.assert_array_equal(img, 0.0)
-        assert count == 0 and volume == 0
+        assert volume == 0
 
     def test_volume_label_matches_voxel_scan(self):
-        cfg = SyntheticConfig(blob_count_range=(2, 6), noise_sigma=0.05, seed=0)
-        clean_cfg = SyntheticConfig(blob_count_range=(2, 6), noise_sigma=0.0, seed=0)
+        cfg = SyntheticConfig(noise_sigma=0.05, seed=0)
+        clean_cfg = SyntheticConfig(noise_sigma=0.0, seed=0)
         for seed in range(10):
-            _, count, volume = generate_blob_image(cfg, np.random.default_rng(seed))
+            count = 2 + seed % 5
+            _, volume = generate_blob_image(cfg, count, np.random.default_rng(seed))
             # same draws up to the noise step reproduce the noise-free field
-            clean, count2, volume2 = generate_blob_image(clean_cfg, np.random.default_rng(seed))
-            assert (count, volume) == (count2, volume2)
+            clean, volume2 = generate_blob_image(clean_cfg, count, np.random.default_rng(seed))
+            assert volume == volume2
             scanned = sum(1 for v in clean[0].ravel() if v > cfg.volume_threshold)
             assert volume == scanned
 
     def test_intensities_non_negative(self):
         cfg = SyntheticConfig(noise_sigma=0.5)
-        img, _, _ = generate_blob_image(cfg, np.random.default_rng(3))
+        img, _ = generate_blob_image(cfg, 4, np.random.default_rng(3))
         assert img.min() >= 0.0
 
     def test_impossible_placement_rejected(self):
-        cfg = SyntheticConfig(image_extent=(8, 8), blob_count_range=(30, 30),
-                              blob_sigma_range=(1.0, 1.2), noise_sigma=0.0)
-        with pytest.raises(ValueError, match="could not place"):
-            generate_blob_image(cfg, np.random.default_rng(4))
+        cfg = SyntheticConfig(image_extent=(8, 8), blob_sigma_range=(1.0, 1.2), noise_sigma=0.0)
+        with pytest.raises(ValueError, match="could not place 30 blobs"):
+            generate_blob_image(cfg, 30, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("intensity_range", [(0.0, 1.0), (-1.0, -0.5)])
+    def test_non_positive_intensity_rejected(self, intensity_range):
+        # a blob of amplitude <= 0 is counted but not seen
+        with pytest.raises(ValueError, match="blob intensities must be positive"):
+            SyntheticConfig(intensity_range=intensity_range)
 
     def test_extent_too_small_for_sigma_rejected(self):
         with pytest.raises(ValueError, match="4x sigma"):
@@ -173,6 +178,16 @@ class TestTensorFile:
         path = tmp_path / "t.sstf"
         path.write_bytes(b"SSTF1\x00" + np.float64(3.5).tobytes())
         with pytest.raises(TensorFormatError, match="dimension count 0"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        arr = np.zeros((1, 4, 4))
+        arr[0, 2, 1] = value
+        path = tmp_path / "t.sstf"
+        write_tensor(path, arr)
+        with pytest.raises(TensorFormatError, match=f"{re.escape(str(path))}: payload holds "
+                                                    r"non-finite values \(NaN or inf\)"):
             read_tensor(path)
 
     def test_truncated_header(self, tmp_path):
@@ -326,12 +341,11 @@ class TestGenerateDataset:
         assert len(manifest.records) == 12
         planned = (split_count_sequence((0, 5), 6) + split_count_sequence((0, 5), 2)
                    + split_count_sequence((0, 5), 4))
+        clean_cfg = replace(cfg, noise_sigma=0.0)
         for idx, rec in enumerate(manifest.records):
-            clean_cfg = replace(cfg, noise_sigma=0.0,
-                                blob_count_range=(planned[idx], planned[idx]))
-            clean, count, volume = generate_blob_image(
-                clean_cfg, np.random.default_rng([cfg.seed, idx]))
-            assert rec.count_label == count == planned[idx]
+            clean, volume = generate_blob_image(clean_cfg, planned[idx],
+                                                np.random.default_rng([cfg.seed, idx]))
+            assert rec.count_label == planned[idx]
             assert rec.volume_label == volume
             scanned = int(np.count_nonzero(clean > cfg.volume_threshold))
             assert rec.volume_label == scanned

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -43,6 +44,12 @@ class TestTrainConfig:
     def test_unknown_loss_kind_rejected(self):
         with pytest.raises(ValueError, match=r"loss_kind must be one of \('mse', 'mae'\)"):
             TrainConfig(epochs=1, loss_kind="huber")
+
+    @pytest.mark.parametrize("p", [1.0, -0.1])
+    def test_p_outside_unit_interval_rejected(self, p):
+        # at p = 1 every slot is black, so every label and gradient is 0
+        with pytest.raises(ValueError, match=re.escape(f"p must be in [0, 1), got {p}")):
+            TrainConfig(epochs=1, p=p)
 
     def test_mixup_with_batch_of_one_builds(self):
         # partners come from the training images, not from the batch
