@@ -27,13 +27,19 @@ the input's extents.  Conv is lowered to GEMMs by unfolding along every
 spatial axis but the first (memory-efficient
 convolution; Cho & Brand 2017): the zero-padded input is copied once into
 columns over the other axes' taps, and each first-axis tap is one GEMM on
-a contiguous slice of them.  The backward pass unfolds the output gradient
-the same way and takes both gradients from it, so a conv node keeps
-nothing but its parents.  Columns are built for whole images, as many as
-fit ``_BLOCK_BYTES`` and at least one, so a block is at most max(1 MiB,
-one image's columns), 4.6 MB for a 32-channel 12x12x12 gradient.  Each
-image gets its own GEMMs, so its output and input gradient depend neither
-on the machine's caches nor on its batch.  Conv's shape checks and
+a contiguous slice of them.  Each such GEMM's kernel operand is
+:func:`_tap_major`, a (taps[0], c_out, c_in * prod(taps[1:])) reshape of
+the kernel.  The regressor holds its kernels in that tap-major memory
+order behind their logical shape, so the reshape is a view, and a kernel's
+data is not C-contiguous: its ``ravel()`` is a copy.  Its ``SSRM1`` files
+keep logical C order.  Any other kernel is copied once per conv pass.  The
+backward pass unfolds the output gradient the same way and takes both
+gradients from it, so a conv node keeps nothing but its parents.  Columns
+are built for whole images, as many as fit ``_BLOCK_BYTES`` and at least
+one, so a block is at most max(1 MiB, one image's columns), 4.6 MB for a
+32-channel 12x12x12 gradient.  Each image gets its own GEMMs, so its
+output and input gradient depend neither on the machine's caches nor on
+its batch.  Conv's shape checks and
 shape-only work (padded shapes, window strides, column slices) are computed
 once per (input shape, kernel shape), in a bounded cache that holds no
 arrays.  Everything is float64 and single-threaded per graph; identical

@@ -221,6 +221,8 @@ def write_tensor(path, array: np.ndarray) -> None:
         raise ValueError(f"tensor rank {arr.ndim} not storable")
     if 0 in arr.shape:
         raise ValueError(f"zero extent in shape {arr.shape} not storable")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: array holds non-finite values (NaN or inf), not storable")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<B", arr.ndim))

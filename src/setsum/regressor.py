@@ -25,6 +25,12 @@ all-zero "black" image maps to exactly 0, and a black slot adds exactly
 nothing to a set's prediction or to its gradients.  This is what lets a
 black slot stand for "no image" with label 0, and what lets ``hydra_loss``
 and ``hydra_forward`` skip black slots instead of computing them.
+
+Conv kernels are held in tap-major memory behind their logical (c_out,
+c_in, *taps) shape: each is a view of a C-order (taps[0], c_out, c_in,
+*taps[1:]) array, the GEMM operand ``conv`` reads, so a forward pass uses
+it without a copy.  ``SSRM1`` files keep logical C order.  A conv kernel's
+``p.data`` is therefore not C-contiguous, and its ``ravel()`` is a copy.
 """
 
 from __future__ import annotations
@@ -113,8 +119,14 @@ class RegressorModel:
         return {name: p.data.copy() for name, p in self.parameters.items()}
 
     def load_parameter_data(self, values: dict[str, np.ndarray]) -> None:
+        """Write ``values`` into the stored arrays, keeping their memory layout;
+        nothing is written unless every value has its parameter's shape."""
         for name, p in self.parameters.items():
-            p.data = values[name].copy()
+            if values[name].shape != p.shape:
+                raise ValueError(f"parameter {name!r} has shape {p.shape}, "
+                                 f"got a value of shape {values[name].shape}")
+        for name, p in self.parameters.items():
+            p.data[...] = values[name]
 
 
 def _layer_plan(arch: ArchitectureConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -135,6 +147,13 @@ def _layer_plan(arch: ArchitectureConfig) -> list[tuple[str, tuple[int, ...], in
     return plan
 
 
+def _stored(name: str, values: np.ndarray) -> Tensor:
+    """The parameter ``name`` holding ``values``; a conv kernel is held tap-major."""
+    if values.ndim > 2:
+        values = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 2, 0)), 0, 2)
+    return parameter(values, name)
+
+
 def build_base_regressor(config: ArchitectureConfig) -> RegressorModel:
     """Fresh model with fan-in-scaled uniform initialization from ``config.seed``.
 
@@ -145,7 +164,7 @@ def build_base_regressor(config: ArchitectureConfig) -> RegressorModel:
     params: dict[str, Tensor] = {}
     for name, shape, fan_in in _layer_plan(config):
         bound = math.sqrt(6.0 / fan_in)
-        params[name] = parameter(rng.uniform(-bound, bound, size=shape), name)
+        params[name] = _stored(name, rng.uniform(-bound, bound, size=shape))
     return RegressorModel(config, params)
 
 
@@ -313,7 +332,7 @@ def load_model(path) -> RegressorModel:
         if len(payload) < offset + nbytes:
             raise ValueError(f"{path}: truncated payload at parameter {name!r}")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8").reshape(shape)
-        params[name] = parameter(arr.astype(np.float64), name)
+        params[name] = _stored(name, arr.astype(np.float64))
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing bytes after parameters")

@@ -88,18 +88,21 @@ def test_criterion_01_gradient_correctness():
     for name, p in model.parameters.items():
         start = int(name[4:name.index(".")]) if name.startswith("conv") else nb + 1
         base_signs = [t.data > 0.0 for t in base_outs[start:]]
-        flat = p.data.ravel()
+        # a conv kernel is not C-contiguous, so index the parameter itself:
+        # its ravel() would be a copy that no perturbation reaches
+        data = p.data
         grad_flat = analytic[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for i in range(data.size):
+            at = np.unravel_index(i, data.shape)
+            orig = data[at]
+            data[at] = orig + h
             f_plus, signs_plus = loss_and_signs(start)
             if i % 61 == 0:
                 assert f_plus == full_loss(), f"{name}[{i}]: partial rerun differs"
                 sampled += 1
-            flat[i] = orig - h
+            data[at] = orig - h
             f_minus, signs_minus = loss_and_signs(start)
-            flat[i] = orig
+            data[at] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             err = float(relative_error(np.array([grad_flat[i]]), np.array([numeric]))[0])
             crossed = any(not np.array_equal(a, b) or not np.array_equal(a, c)

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import setsum.autodiff
-from setsum.autodiff import (Tensor, _toposort, backpropagate, concat_channels,
-                             conv, dropout_apply, fully_connected, global_avg_pool, parameter,
+from setsum.autodiff import (Tensor, _tap_major, _toposort, backpropagate,
+                             concat_channels, conv, dropout_apply, fully_connected, global_avg_pool, parameter,
                              relu, rows)
 
 from oracles import conv_loop, fc_loop, finite_difference, relative_error
@@ -113,6 +113,34 @@ class TestConvBatchBits:
             for b, (out, grad) in enumerate(single):
                 npt.assert_array_equal(batch[0][b], out[0])
                 npt.assert_array_equal(batch[1][b], grad[0])
+
+
+class TestConvKernelLayout:
+    """A kernel held tap-major behind its logical shape, as the regressor
+    stores its kernels, is conv's GEMM operand without a copy and gives the
+    bits of the same values in C order, forward and backward."""
+
+    @pytest.mark.parametrize("spatial, kext", [((7, 6), (3, 3)), ((5, 6, 4), (3, 3, 3)),
+                                               ((6, 7, 5), (3, 1, 5))],
+                             ids=["2d-k3", "3d-k3", "3d-k3x1x5"])
+    def test_tap_major_storage_same_bits(self, spatial, kext):
+        rng = np.random.default_rng(31)
+        x_data = rng.normal(size=(2, 3) + spatial)
+        values = rng.normal(size=(4, 3) + kext)
+        g = rng.normal(size=(2, 4) + spatial)
+        stored = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 2, 0)), 0, 2)
+        assert not stored.flags.c_contiguous
+        assert np.shares_memory(_tap_major(stored), stored)
+
+        def forward_backward(kernel_data):
+            x, kernel = parameter(x_data, "x"), parameter(kernel_data, "kernel")
+            out = conv(x, kernel)
+            x.grad, kernel.grad = np.zeros_like(x.data), np.zeros_like(kernel.data)
+            out._backward(g)
+            return out.data, x.grad, kernel.grad
+
+        for got, want in zip(forward_backward(stored), forward_backward(values)):
+            npt.assert_array_equal(got, want)
 
 
 class ConvBatchChecks:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -182,13 +183,26 @@ class TestTensorFile:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, tmp_path, value):
+        # write_tensor refuses non-finite values, so the file is built by hand
         arr = np.zeros((1, 4, 4))
         arr[0, 2, 1] = value
         path = tmp_path / "t.sstf"
-        write_tensor(path, arr)
+        path.write_bytes(b"SSTF1\x03" + struct.pack("<3I", *arr.shape)
+                         + arr.astype("<f8").tobytes())
         with pytest.raises(TensorFormatError, match=f"{re.escape(str(path))}: payload holds "
                                                     r"non-finite values \(NaN or inf\)"):
             read_tensor(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, value):
+        path = tmp_path / "t.sstf"
+        path.write_bytes(b"previous")
+        arr = np.zeros((1, 4, 4))
+        arr[0, 2, 1] = value
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: array holds "
+                                             r"non-finite values \(NaN or inf\)"):
+            write_tensor(path, arr)
+        assert path.read_bytes() == b"previous"
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.sstf"

@@ -13,13 +13,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from setsum.autodiff import _toposort, backpropagate
+from setsum.autodiff import _tap_major, _toposort, backpropagate
 from setsum.data import (SyntheticConfig, generate_dataset, load_split, read_tensor,
                          write_tensor)
-from setsum.regressor import (ArchitectureConfig, build_base_regressor, hydra_forward,
-                              hydra_loss, hydra_loss_replicated, load_model, predict,
-                              save_model)
-from setsum.regressor import _constants
+from setsum.regressor import (MODEL_MAGIC, ArchitectureConfig, build_base_regressor,
+                              hydra_forward, hydra_loss, hydra_loss_replicated, load_model,
+                              predict, save_model)
+from setsum.regressor import _config_text, _constants
 from setsum.regressor import _forward as regressor_forward
 from setsum.regressor import _loss_node
 from setsum.trainer import infer
@@ -454,7 +454,7 @@ class TestHydraLoss:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        for cfg in (TINY, replace(TINY, dropout_rate=0.25)):
+        for cfg in (TINY, replace(TINY, dropout_rate=0.25), TINY_3D):
             model = build_base_regressor(cfg)
             path = tmp_path / "model.ssrm"
             save_model(model, path)
@@ -543,3 +543,48 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
+
+
+def assert_kernels_are_gemm_operands(model):
+    """Every conv kernel's tap-major GEMM operand is a view of its storage."""
+    kernels = [p for name, p in model.parameters.items() if name.startswith("conv")]
+    assert kernels
+    for p in kernels:
+        assert np.shares_memory(_tap_major(p.data), p.data), p.name
+
+
+class TestKernelLayout:
+    @pytest.mark.parametrize("arch", [TINY, TINY_3D], ids=["2d", "3d"])
+    def test_built_and_loaded_kernels_are_gemm_operands(self, tmp_path, arch):
+        model = build_base_regressor(arch)
+        assert_kernels_are_gemm_operands(model)
+        save_model(model, tmp_path / "m.ssrm")
+        assert_kernels_are_gemm_operands(load_model(tmp_path / "m.ssrm"))
+
+    @pytest.mark.parametrize("arch", [TINY, TINY_3D], ids=["2d", "3d"])
+    def test_file_from_c_order_arrays_loads_to_equal_values(self, tmp_path, arch):
+        # the file format is logical C order, whatever the memory layout
+        rng = np.random.default_rng(4)
+        values = {name: rng.normal(size=p.shape)
+                  for name, p in build_base_regressor(arch).parameters.items()}
+        text = _config_text(arch).encode("utf-8")
+        path = tmp_path / "m.ssrm"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<I", len(text)) + text
+                         + b"".join(v.astype("<f8").tobytes() for v in values.values()))
+        back = load_model(path)
+        for name, v in values.items():
+            assert np.array_equal(back.parameters[name].data, v), name
+
+    @pytest.mark.parametrize("name, shape", [("conv1.kernel", (1,)), ("fc.weight", (4, 1))],
+                             ids=["broadcastable", "mismatched"])
+    def test_restore_rejects_another_shape(self, name, shape):
+        model = build_base_regressor(TINY)
+        before = model.copy_parameter_data()
+        values = dict(before, **{name: np.ones(shape)})
+        expected = model.parameters[name].shape
+        with pytest.raises(ValueError, match=re.escape(f"parameter {name!r} has shape "
+                                                       f"{expected}, got a value of shape "
+                                                       f"{shape}")):
+            model.load_parameter_data(values)
+        for key, p in model.parameters.items():
+            assert np.array_equal(p.data, before[key]), key

@@ -14,6 +14,7 @@ import pytest
 
 import setsum.trainer as trainer_mod
 from setsum.augment import AugmentationConfig
+from setsum.autodiff import _tap_major
 from setsum.data import SyntheticConfig, generate_dataset, load_split
 from setsum.regressor import ArchitectureConfig, build_base_regressor, hydra_forward, predict
 from setsum.trainer import (CurveJobResult, TrainConfig, TrainingDiverged, infer,
@@ -144,6 +145,19 @@ class TestTrain:
         re_evaluated = float(np.mean((pred - val_labels) ** 2))
         assert re_evaluated == pytest.approx(hist.val_mse[hist.best_epoch], abs=1e-12)
         assert hist.val_mse[hist.best_epoch] == min(hist.val_mse)
+
+    @pytest.mark.parametrize("extent", [(8, 8), (5, 5, 5)], ids=["2d", "3d"])
+    def test_trained_kernels_stay_gemm_operands(self, tmp_path, extent):
+        # the best-epoch restore writes into the stored tap-major kernels
+        synth = replace(SYNTH, image_extent=extent, blob_count_range=(0, 2))
+        data = generate_dataset(tmp_path, synth, 4, 2, 1)
+        arch = replace(TINY_ARCH, input_shape=(1,) + extent)
+        cfg = TrainConfig(epochs=3, method="setsum", n=2, p=0.1, batch_size=2)
+        model, _ = train(build_base_regressor(arch), data, cfg, np.random.default_rng(3))
+        kernels = [p for name, p in model.parameters.items() if name.startswith("conv")]
+        assert len(kernels) == 2
+        for p in kernels:
+            assert np.shares_memory(_tap_major(p.data), p.data), p.name
 
     def test_update_count_per_epoch(self, dataset, monkeypatch):
         calls = []
